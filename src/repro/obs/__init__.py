@@ -107,11 +107,14 @@ from .tracing import (
     SpanTimer,
     clear_trace_context,
     current_trace_context,
+    end_span,
     get_collector,
     install_collector,
     reseed_span_ids,
+    resume_span,
     set_trace_context,
     span,
+    start_span,
     timed_span,
     uninstall_collector,
 )
@@ -201,6 +204,7 @@ __all__ = [
     "clear_trace_context",
     "current_trace_context",
     "emit",
+    "end_span",
     "format_quantiles_ms",
     "get_capture",
     "get_collector",
@@ -219,8 +223,10 @@ __all__ = [
     "percentile_ms",
     "reseed_span_ids",
     "reset_for_tests",
+    "resume_span",
     "set_trace_context",
     "span",
+    "start_span",
     "timed_span",
     "uninstall_capture",
     "uninstall_collector",

@@ -180,6 +180,26 @@ def reseed_span_ids(start: int) -> None:
     _span_ids = itertools.count(start)
 
 
+def _open_record(name: str, attrs: dict) -> Span:
+    """A fresh span parented under the stack top or the adopted trace."""
+    span_id = next(_span_ids)
+    if _stack:
+        parent_id = _stack[-1].span_id
+        trace_id = _stack[-1].trace_id
+    elif _trace_context is not None:
+        trace_id, parent_id = _trace_context
+    else:
+        parent_id, trace_id = None, span_id
+    return Span(
+        name=name,
+        span_id=span_id,
+        parent_id=parent_id,
+        trace_id=trace_id,
+        start=perf_counter(),
+        attrs=attrs,
+    )
+
+
 @contextmanager
 def span(
     name: str, collector: SpanCollector | None = None, **attrs
@@ -193,22 +213,9 @@ def span(
     if col is None:
         yield None
         return
-    span_id = next(_span_ids)
-    if _stack:
-        parent_id = _stack[-1].span_id
-        trace_id = _stack[-1].trace_id
-    elif _trace_context is not None:
-        trace_id, parent_id = _trace_context
-    else:
-        parent_id, trace_id = None, span_id
-    record = Span(
-        name=name,
-        span_id=span_id,
-        parent_id=parent_id,
-        trace_id=trace_id,
-        start=perf_counter(),
-        attrs=dict(attrs),
-    )
+    record = _open_record(name, attrs)
+    # resume_span's push/pop, inlined: a nested context manager would
+    # cost every traced span about a microsecond more
     _stack.append(record)
     try:
         yield record
@@ -218,8 +225,51 @@ def span(
     finally:
         if _stack and _stack[-1] is record:
             _stack.pop()
-        if record.end == 0.0:  # timed_span may have closed it already
-            record.end = perf_counter()
+        end_span(record, col)
+
+
+def start_span(name: str, **attrs) -> Span | None:
+    """Open a span *without* making it the current span.
+
+    The span is parented exactly as :func:`span` would parent it, but it
+    is not pushed on the stack, so spans opened after it are its
+    siblings rather than its children.  Work runs inside it under
+    :func:`resume_span`, and :func:`end_span` closes it.  This is how
+    several regions that are in flight at once — the shard router's
+    per-shard ``serve.batch`` spans, sent together and gathered in turn
+    — stay siblings in the trace.  Returns ``None`` when collection is
+    off.
+    """
+    if _active_collector is None:
+        return None
+    return _open_record(name, attrs)
+
+
+@contextmanager
+def resume_span(record: Span | None) -> Iterator[Span | None]:
+    """Make ``record`` the current span for the duration of the block."""
+    if record is None:
+        yield None
+        return
+    _stack.append(record)
+    try:
+        yield record
+    except BaseException:
+        record.status = "error"
+        raise
+    finally:
+        if _stack and _stack[-1] is record:
+            _stack.pop()
+
+
+def end_span(record: Span | None, collector: SpanCollector | None = None) -> None:
+    """Close ``record`` and hand it to ``collector`` (default: the active one)."""
+    if record is None:
+        return
+    if record.end == 0.0:  # timed_span may have closed it already
+        record.end = perf_counter()
+    col = collector if collector is not None else _active_collector
+    if col is not None:
         col.add(record)
 
 

@@ -5,7 +5,8 @@ rolling model swaps — the million-query robustness tier on top of
 
 Layering::
 
-    ShardRouter                 route by consistent hash, rolling swaps
+    ShardRouter                 route by consistent hash, scatter/gather
+                                shards, rolling swaps
       ├── ModelArena            shm model generations, zero-copy swaps
       └── Shard (×N)            admission + worker pool + fallback chain
             ├── AdmissionController   quotas, capacity, deadlines → shed
@@ -38,7 +39,7 @@ from .codec import (
     unpack_queries,
     unpack_results,
 )
-from .hashing import HashRing, stable_hash
+from .hashing import HashRing, routing_key, stable_hash
 from .shm import (
     ArenaError,
     ArenaGeneration,
@@ -48,11 +49,11 @@ from .shm import (
 from .router import (
     RollingSwapReport,
     Shard,
+    ShardBatch,
     ShardRouter,
     ShardStats,
-    routing_key,
 )
-from .supervisor import DispatchResult, WorkerSupervisor
+from .supervisor import DispatchResult, DispatchTicket, WorkerSupervisor
 
 __all__ = [
     "AdmissionConfig",
@@ -63,10 +64,12 @@ __all__ = [
     "CodecError",
     "CodecOverflow",
     "DispatchResult",
+    "DispatchTicket",
     "HashRing",
     "ModelArena",
     "RollingSwapReport",
     "Shard",
+    "ShardBatch",
     "ShardRequest",
     "ShardRouter",
     "ShardStats",

@@ -1,4 +1,4 @@
-"""Consistent-hash ring for shard routing.
+"""Consistent-hash ring and routing keys for shard routing.
 
 A :class:`HashRing` maps routing keys (tenant + query identity) to shard
 names so that (a) the same key always lands on the same shard — shard-
@@ -12,19 +12,63 @@ Python's builtin ``hash`` (which is salted per process via
 forked workers).  Each shard is placed at ``replicas`` points on the
 ring (virtual nodes) so the key space splits evenly even with few
 shards.
+
+:func:`routing_key` builds a request's key as bytes: the tenant, then
+one fixed-width record per predicate, packed with a single
+:class:`struct.Struct` — a key is built for every request, so it must
+cost far less than rendering the query as text.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import struct
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .admission import ShardRequest
+
+#: one predicate of a routing key: column, None-flags (bit 0: no lower
+#: bound, bit 1: no upper bound), lower bound, upper bound.  An absent
+#: bound packs as 0.0; the flags keep ``(None, 5)`` apart from ``(0, 5)``.
+_PREDICATE = struct.Struct("<iBdd")
 
 
-def stable_hash(key: str) -> int:
+def stable_hash(key: str | bytes) -> int:
     """A process-independent 64-bit hash of ``key``."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    if isinstance(key, str):
+        key = key.encode("utf-8")
+    digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def routing_key(request: ShardRequest) -> bytes:
+    """Stable routing key: tenant plus query identity, as packed bytes.
+
+    The tenant is length-prefixed so it can never run into the
+    predicate records.  Bounds are normalised with ``+ 0.0`` so ``-0.0``
+    and ``0.0`` — equal bounds of equal queries — pack alike.  Nothing
+    here depends on the salted builtin ``hash``, so the key is the same
+    in every process.  Keeping the tenant in the key gives per-tenant
+    affinity; keeping the query in it keeps shard-local caches hot for
+    repeated queries.
+    """
+    tenant = request.tenant.encode("utf-8")
+    parts = [len(tenant).to_bytes(4, "little"), tenant]
+    pack = _PREDICATE.pack
+    for p in request.query.predicates:
+        lo, hi = p.lo, p.hi
+        parts.append(
+            pack(
+                p.column,
+                (lo is None) | (hi is None) << 1,
+                0.0 if lo is None else lo + 0.0,
+                0.0 if hi is None else hi + 0.0,
+            )
+        )
+    return b"".join(parts)
 
 
 class HashRing:
@@ -76,7 +120,7 @@ class HashRing:
                 index = bisect.bisect_left(self._points, point)
                 del self._points[index]
 
-    def node_for(self, key: str) -> str:
+    def node_for(self, key: str | bytes) -> str:
         """The shard owning ``key``: first ring point clockwise of it."""
         if not self._points:
             raise RuntimeError("hash ring has no nodes")

@@ -60,19 +60,27 @@ from ..obs import (
     ExemplarStore,
     MetricsRegistry,
     SloRegistry,
+    Span,
+    end_span,
     get_events,
     get_exemplars,
     get_registry,
     get_slos,
-    span,
+    resume_span,
+    start_span,
 )
 from ..rules.enforce import clamp_to_bounds, is_sane
 from ..serve.heuristic import HeuristicConstantEstimator
 from ..serve.service import EstimatorService, ServedEstimate
 from .admission import AdmissionConfig, AdmissionController, ShardRequest
-from .hashing import HashRing
+from .hashing import HashRing, routing_key
 from .shm import ArenaError, ArenaGeneration, ModelArena
-from .supervisor import WorkerSupervisor
+from .supervisor import DispatchTicket, WorkerSupervisor
+
+
+#: rows of the estimator's table sampled into a semantic cache the router
+#: builds itself (``semantic_cache=<capacity>``)
+SEMANTIC_SAMPLE_ROWS = 512
 
 
 class _SemanticShardView:
@@ -114,17 +122,6 @@ class _SemanticShardView:
         self._epoch += 1
 
 
-def routing_key(request: ShardRequest) -> str:
-    """Stable routing key: tenant plus query identity.
-
-    ``Query`` is a frozen dataclass, so its ``repr`` is deterministic
-    across processes — unlike ``hash()``, which is salted.  Keeping the
-    tenant in the key gives per-tenant affinity; keeping the query in
-    it keeps shard-local caches hot for repeated queries.
-    """
-    return f"{request.tenant}|{request.query!r}"
-
-
 @dataclass(frozen=True)
 class RollingSwapReport:
     """Outcome of one rolling model swap across the shard fleet."""
@@ -152,6 +149,26 @@ class ShardStats:
     shed: int = 0
     redispatches: int = 0
     shed_reasons: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class ShardBatch:
+    """One shard's batch between :meth:`Shard.begin` and :meth:`Shard.finish`."""
+
+    requests: list[ShardRequest]
+    #: the batch's ``serve.batch`` span (None when tracing is off)
+    root: Span | None
+    #: answers by request position; ``begin`` fills the shed ones
+    results: list[ServedEstimate | None]
+    #: request positions sent to a worker, and the ticket carrying them
+    worker: list[int] = field(default_factory=list)
+    ticket: DispatchTicket | None = None
+    #: request positions the in-process fallback chain answers
+    fallback: list[int] = field(default_factory=list)
+
+    @property
+    def trace_id(self) -> int | None:
+        return self.root.trace_id if self.root is not None else None
 
 
 class Shard:
@@ -267,59 +284,131 @@ class Shard:
 
     # ------------------------------------------------------------------
     def serve_batch(self, requests: list[ShardRequest]) -> list[ServedEstimate]:
-        """Answer every request: worker path, fallback chain, or shed.
+        """Answer every request: worker path, fallback chain, or shed."""
+        return self.finish(self.begin(requests))
 
-        The whole batch is served under a ``serve.batch`` root span
-        whose ``(trace_id, span_id)`` ride the worker request envelope,
-        so worker-originated spans re-parent under it in the merged
-        trace.  Per-request latencies feed the per-tenant SLO engine and
+    def begin(self, requests: list[ShardRequest]) -> ShardBatch:
+        """First half of :meth:`serve_batch`: decide, then send.
+
+        Admission sheds what it must (shed answers come from the
+        heuristic tier right here), the guard's domain snapshot splits
+        off out-of-distribution queries, and the rest is submitted to a
+        worker without waiting for the answer.  Out-of-distribution
+        queries never reach the worker path: :meth:`finish` serves them
+        from the in-process fallback chain, whose own guard hook skips
+        the learned primary (the chain owns the reroute telemetry, so
+        the split here stays silent to avoid double counting).
+
+        The batch runs under a ``serve.batch`` span that is opened here
+        and closed by :meth:`finish`.  It is never left on the span
+        stack in between, so the router can begin several shards before
+        finishing any and their spans stay siblings.  The span's
+        ``(trace_id, span_id)`` ride the worker request envelope, so
+        worker-originated spans re-parent under it in the merged trace.
+        """
+        root = start_span("serve.batch", shard=self.name, batch=len(requests))
+        batch = ShardBatch(requests, root, [None] * len(requests))
+        try:
+            with resume_span(root):
+                self._begin(batch)
+        except BaseException:
+            end_span(root)
+            raise
+        return batch
+
+    def _begin(self, batch: ShardBatch) -> None:
+        requests, results = batch.requests, batch.results
+        trace_id = batch.trace_id
+        decision = self.admission.admit(requests)
+        if decision.shed:
+            shed_queries = [requests[i].query for i, _ in decision.shed]
+            values = self._shed_estimator.estimate_many(shed_queries)
+            for (index, reason), value in zip(decision.shed, values):
+                results[index] = ServedEstimate(
+                    estimate=float(value),
+                    tier="shed:heuristic",
+                    tier_index=-1,
+                    degraded=True,
+                    latency_seconds=0.0,
+                    attempts=(("admission", f"shed-{reason}"),),
+                    trace_id=trace_id,
+                )
+            self.stats.shed += len(decision.shed)
+            for reason, count in decision.shed_reasons.items():
+                self.stats.shed_reasons[reason] = (
+                    self.stats.shed_reasons.get(reason, 0) + count
+                )
+
+        admitted = list(decision.admitted)
+        if self.fallback_mode:
+            batch.fallback = admitted
+            return
+        if self.guard is not None:
+            keep = []
+            for i in admitted:
+                verdict = self.guard.ood_verdict(requests[i].query)
+                if verdict is not None and verdict.is_ood:
+                    batch.fallback.append(i)
+                else:
+                    keep.append(i)
+            admitted = keep
+        if admitted:
+            batch.worker = admitted
+            root = batch.root
+            batch.ticket = self.supervisor.submit(
+                [requests[i].query for i in admitted],
+                (root.trace_id, root.span_id) if root is not None else None,
+            )
+
+    def finish(self, batch: ShardBatch) -> list[ServedEstimate]:
+        """Second half of :meth:`serve_batch`: wait, validate, fall back.
+
+        Collects the worker's answer, accepts the sane values, and
+        serves everything the worker path did not answer — the
+        out-of-distribution split, non-finite answers, or the whole
+        batch after a failed dispatch — from the in-process fallback
+        chain.  Per-request latencies feed the per-tenant SLO engine and
         the slowest-estimate exemplar board.
         """
-        with span(
-            "serve.batch", shard=self.name, batch=len(requests)
-        ) as root:
-            trace_ctx = (
-                (root.trace_id, root.span_id) if root is not None else None
+        try:
+            with resume_span(batch.root):
+                self._finish(batch)
+        finally:
+            end_span(batch.root)
+        assert all(r is not None for r in batch.results)
+        return batch.results  # type: ignore[return-value]
+
+    def _finish(self, batch: ShardBatch) -> None:
+        requests, results = batch.requests, batch.results
+        if batch.ticket is not None:
+            dispatch = self.supervisor.collect(batch.ticket)
+            if dispatch.attempts > 1:
+                self.stats.redispatches += dispatch.attempts - 1
+            if dispatch.values is not None:
+                self.stats.worker_answered += len(batch.worker)
+                self.admission.observe_service(len(batch.worker), dispatch.seconds)
+                self._validate_worker_values(batch, dispatch.values, dispatch.seconds)
+            else:
+                batch.fallback.extend(batch.worker)
+                if self.supervisor.exhausted:
+                    # Restart budget spent everywhere: stop paying the
+                    # dispatch tax and serve in-process from here on.
+                    self.fallback_mode = True
+                    self._obs_events().emit("shard.fallback_mode", shard=self.name)
+        if batch.fallback:
+            fallback = sorted(batch.fallback)
+            served = self.fallback_service.serve_batch(
+                [requests[i].query for i in fallback]
             )
-            trace_id = root.trace_id if root is not None else None
-            results: list[ServedEstimate | None] = [None] * len(requests)
-            decision = self.admission.admit(requests)
+            for i, answer in zip(fallback, served):
+                results[i] = answer
+            self.stats.fallback_served += len(fallback)
 
-            if decision.shed:
-                shed_queries = [requests[i].query for i, _ in decision.shed]
-                values = self._shed_estimator.estimate_many(shed_queries)
-                for (index, reason), value in zip(decision.shed, values):
-                    results[index] = ServedEstimate(
-                        estimate=float(value),
-                        tier="shed:heuristic",
-                        tier_index=-1,
-                        degraded=True,
-                        latency_seconds=0.0,
-                        attempts=(("admission", f"shed-{reason}"),),
-                        trace_id=trace_id,
-                    )
-                self.stats.shed += len(decision.shed)
-                for reason, count in decision.shed_reasons.items():
-                    self.stats.shed_reasons[reason] = (
-                        self.stats.shed_reasons.get(reason, 0) + count
-                    )
-
-            admitted = list(decision.admitted)
-            if admitted:
-                queries = [requests[i].query for i in admitted]
-                served_admitted = self._serve_admitted(
-                    queries, trace_ctx, trace_id
-                )
-                for index, served in zip(admitted, served_admitted):
-                    results[index] = served
-
-            self.stats.requests += len(requests)
-            self._obs_registry().counter(
-                SHARD_REQUESTS, "Requests served, by path"
-            ).inc(len(requests), shard=self.name, path="total")
-            assert all(r is not None for r in results)
-            self._observe_slo(requests, results)
-            return results  # type: ignore[return-value]
+        self.stats.requests += len(requests)
+        self._obs_registry().counter(
+            SHARD_REQUESTS, "Requests served, by path"
+        ).inc(len(requests), shard=self.name, path="total")
+        self._observe_slo(requests, results)
 
     def _observe_slo(
         self,
@@ -347,74 +436,10 @@ class Shard:
                     )
                 )
 
-    def _serve_admitted(
-        self,
-        queries: list[Query],
-        trace_ctx: tuple[int, int] | None = None,
-        trace_id: int | None = None,
-    ) -> list[ServedEstimate]:
-        """Worker dispatch with validation; fallback chain on any miss.
-
-        Out-of-distribution queries never reach the worker path: the
-        guard's domain snapshot flags them and they go straight to the
-        in-process fallback chain, whose own guard hook skips the
-        learned primary (the chain owns the reroute telemetry, so the
-        split here stays silent to avoid double counting).
-        """
-        if self.guard is not None and not self.fallback_mode:
-            verdicts = [self.guard.ood_verdict(q) for q in queries]
-            ood = [
-                i
-                for i, v in enumerate(verdicts)
-                if v is not None and v.is_ood
-            ]
-            if ood:
-                results: list[ServedEstimate | None] = [None] * len(queries)
-                ood_set = set(ood)
-                keep = [i for i in range(len(queries)) if i not in ood_set]
-                rerouted = self.fallback_service.serve_batch(
-                    [queries[i] for i in ood]
-                )
-                for i, served in zip(ood, rerouted):
-                    results[i] = served
-                self.stats.fallback_served += len(ood)
-                if keep:
-                    kept = self._serve_admitted(
-                        [queries[i] for i in keep], trace_ctx, trace_id
-                    )
-                    for i, served in zip(keep, kept):
-                        results[i] = served
-                assert all(r is not None for r in results)
-                return results  # type: ignore[return-value]
-        if not self.fallback_mode:
-            dispatch = self.supervisor.dispatch(queries, trace_ctx)
-            if dispatch.attempts > 1:
-                self.stats.redispatches += dispatch.attempts - 1
-            if dispatch.values is not None:
-                self.stats.worker_answered += len(queries)
-                self.admission.observe_service(len(queries), dispatch.seconds)
-                return self._validate_worker_values(
-                    queries, dispatch.values, dispatch.seconds, trace_id
-                )
-            if self.supervisor.exhausted:
-                # Restart budget spent everywhere: stop paying the
-                # dispatch tax and serve in-process from here on.
-                self.fallback_mode = True
-                self._obs_events().emit(
-                    "shard.fallback_mode", shard=self.name
-                )
-        served = self.fallback_service.serve_batch(queries)
-        self.stats.fallback_served += len(served)
-        return served
-
     def _validate_worker_values(
-        self,
-        queries: list[Query],
-        values: np.ndarray,
-        seconds: float,
-        trace_id: int | None = None,
-    ) -> list[ServedEstimate]:
-        """Accept sane worker answers; re-serve the rest in-process.
+        self, batch: ShardBatch, values: np.ndarray, seconds: float
+    ) -> None:
+        """Accept sane worker answers; queue the rest for the fallback.
 
         Finite but out-of-bounds values are clamped exactly like the
         serving chain's "sanitized" outcome (raw model estimates may
@@ -425,10 +450,9 @@ class Shard:
         instead of surfacing garbage to the optimizer.
         """
         num_rows = self.table.num_rows
-        latency = seconds / max(len(queries), 1)
-        results: list[ServedEstimate | None] = [None] * len(queries)
-        bad: list[int] = []
-        for i, raw in enumerate(values):
+        latency = seconds / max(len(batch.worker), 1)
+        bad = 0
+        for i, raw in zip(batch.worker, values):
             value = float(raw)
             if math.isfinite(value):
                 outcome = "served"
@@ -436,7 +460,9 @@ class Shard:
                     value = clamp_to_bounds(value, num_rows)
                     outcome = "sanitized"
                 if self.guard is not None:
-                    clamped, reason = self.guard.clamp(queries[i], value)
+                    clamped, reason = self.guard.clamp(
+                        batch.requests[i].query, value
+                    )
                     if reason is not None:
                         self._obs_registry().counter(
                             GUARD_CLAMPED,
@@ -452,33 +478,26 @@ class Shard:
                         )
                         value = clamped
                         outcome = "guard-clamped"
-                results[i] = ServedEstimate(
+                batch.results[i] = ServedEstimate(
                     estimate=value,
                     tier="worker",
                     tier_index=0,
                     degraded=False,
                     latency_seconds=latency,
                     attempts=(("worker", outcome),),
-                    trace_id=trace_id,
+                    trace_id=batch.trace_id,
                 )
             else:
-                bad.append(i)
+                batch.fallback.append(i)
+                bad += 1
         if bad:
             self._obs_events().emit(
                 "shard.worker_invalid",
                 shard=self.name,
-                batch=len(queries),
-                invalid=len(bad),
+                batch=len(batch.worker),
+                invalid=bad,
             )
-            reserved = self.fallback_service.serve_batch(
-                [queries[i] for i in bad]
-            )
-            for i, served in zip(bad, reserved):
-                results[i] = served
-            self.stats.fallback_served += len(bad)
-        self.stats.worker_served += len(queries) - len(bad)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
+        self.stats.worker_served += len(batch.worker) - bad
 
     # ------------------------------------------------------------------
     def swap_model(
@@ -513,19 +532,20 @@ class Shard:
             self.semantic_view.bump()
 
     def probe(self, queries: Sequence[Query]) -> bool:
-        """Post-swap smoke check: do the new workers answer sanely?"""
+        """Post-swap smoke check: do the new workers answer servably?
+
+        Judged the way serving judges a worker answer: a failed dispatch
+        or a non-finite value fails the probe, while a finite value out
+        of ``[0, num_rows]`` passes — serving clamps it and serves it as
+        "sanitized".
+        """
         dispatch = self.supervisor.dispatch(list(queries))
         if dispatch.values is None:
             return False
         # probes are accepted worker replies too: count them so the
         # merged per-worker serve counters still sum to worker_answered
         self.stats.worker_answered += len(queries)
-        num_rows = self.table.num_rows
-        return bool(
-            np.all(np.isfinite(dispatch.values))
-            and np.all(dispatch.values >= 0.0)
-            and np.all(dispatch.values <= num_rows)
-        )
+        return bool(np.all(np.isfinite(dispatch.values)))
 
     def _obs_events(self) -> EventLog:
         return self._events if self._events is not None else get_events()
@@ -578,7 +598,17 @@ class ShardRouter:
         #: publish, so pipe/inline configurations pay nothing for it.
         self.arena = ModelArena()
         if isinstance(semantic_cache, int):
-            semantic_cache = SemanticEstimateCache(semantic_cache)
+            # A row sample makes semantic hits interpolate empirically
+            # (skew-aware) instead of by interval width.
+            table = estimator.table
+            rows = np.random.default_rng(seed).choice(
+                table.num_rows,
+                size=min(SEMANTIC_SAMPLE_ROWS, table.num_rows),
+                replace=False,
+            )
+            semantic_cache = SemanticEstimateCache(
+                semantic_cache, sample=table.data[rows]
+            )
         self.semantic_cache = semantic_cache
         self._semantic_views: dict[str, _SemanticShardView] = {}
         self.shards: dict[str, Shard] = {}
@@ -648,50 +678,78 @@ class ShardRouter:
         return self.ring.node_for(routing_key(request))
 
     def serve_batch(self, requests: Sequence[ShardRequest]) -> list[ServedEstimate]:
-        """Answer a request batch, preserving input order."""
+        """Answer a request batch, preserving input order.
+
+        Scatter/gather: every shard's sub-batch is sent (:meth:`Shard.begin`)
+        before any reply is awaited, then each shard is finished
+        (:meth:`Shard.finish`) in the same order.  The parent prepares
+        shard *k+1* while worker *k* computes, and the workers of
+        different shards compute at the same time.  Re-dispatch after a
+        worker crash or hang stays inside one shard's ``finish``.
+        """
         requests = list(requests)
         by_shard: dict[str, list[int]] = {}
         for index, request in enumerate(requests):
             by_shard.setdefault(self.route(request), []).append(index)
         results: list[ServedEstimate | None] = [None] * len(requests)
-        for name, indices in by_shard.items():
-            shard = self.shards[name]
-            view = self._semantic_views.get(name)
-            pending = indices
-            if view is not None:
-                # Probe the shared semantic cache before dispatch: an
-                # exact or semantic hit skips the worker IPC round trip.
-                pending = []
-                counter = self._obs_registry().counter(
-                    FASTPATH_SEMANTIC,
-                    "Shared semantic-cache probes before shard dispatch",
-                )
-                for index in indices:
-                    value = view.get(requests[index].query)
-                    if value is None:
-                        counter.inc(shard=name, outcome="miss")
-                        pending.append(index)
-                        continue
-                    kind = view.last_hit_kind or "hit"
-                    counter.inc(shard=name, outcome=kind)
-                    results[index] = ServedEstimate(
-                        estimate=float(value),
-                        tier="semantic-cache",
-                        tier_index=-1,
-                        degraded=False,
-                        latency_seconds=0.0,
-                        attempts=(("semantic-cache", kind),),
-                        trace_id=None,
-                    )
-            if not pending:
-                continue
-            shard_results = shard.serve_batch([requests[i] for i in pending])
-            for index, served in zip(pending, shard_results):
-                results[index] = served
-                if view is not None and not served.degraded:
-                    view.put(requests[index].query, served.estimate)
+        in_flight: list[tuple[Shard, list[int], ShardBatch]] = []
+        try:
+            for name, indices in by_shard.items():
+                pending = self._probe_semantic(name, indices, requests, results)
+                if pending:
+                    shard = self.shards[name]
+                    batch = shard.begin([requests[i] for i in pending])
+                    in_flight.append((shard, pending, batch))
+        finally:
+            # Gather even when a later shard's begin raised, so no batch
+            # already sent is left with its reply (and ring slot) unread.
+            for shard, pending, batch in in_flight:
+                view = self._semantic_views.get(shard.name)
+                for index, served in zip(pending, shard.finish(batch)):
+                    results[index] = served
+                    if view is not None and not served.degraded:
+                        view.put(requests[index].query, served.estimate)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
+
+    def _probe_semantic(
+        self,
+        name: str,
+        indices: list[int],
+        requests: list[ShardRequest],
+        results: list[ServedEstimate | None],
+    ) -> list[int]:
+        """Answer cache hits in place; return the indices still pending.
+
+        The shared semantic cache is probed before dispatch: an exact or
+        semantic hit skips the worker IPC round trip.
+        """
+        view = self._semantic_views.get(name)
+        if view is None:
+            return indices
+        pending = []
+        counter = self._obs_registry().counter(
+            FASTPATH_SEMANTIC,
+            "Shared semantic-cache probes before shard dispatch",
+        )
+        for index in indices:
+            value = view.get(requests[index].query)
+            if value is None:
+                counter.inc(shard=name, outcome="miss")
+                pending.append(index)
+                continue
+            kind = view.last_hit_kind or "hit"
+            counter.inc(shard=name, outcome=kind)
+            results[index] = ServedEstimate(
+                estimate=float(value),
+                tier="semantic-cache",
+                tier_index=-1,
+                degraded=False,
+                latency_seconds=0.0,
+                attempts=(("semantic-cache", kind),),
+                trace_id=None,
+            )
+        return pending
 
     def serve_queries(self, queries: Sequence[Query]) -> list[ServedEstimate]:
         """Convenience: serve plain queries with default metadata."""

@@ -27,6 +27,16 @@ robustness boundary:
   waits briefly for acknowledgement, then joins — so a rolling model
   swap never kills a worker mid-answer.
 
+**Split dispatch.**  :meth:`~WorkerSupervisor.submit` sends a batch and
+returns a :class:`DispatchTicket` without waiting;
+:meth:`~WorkerSupervisor.collect` waits for the reply and owns every
+re-dispatch.  The shard router submits to every shard before it
+collects any, so the shards' workers compute at the same time.  Each
+attempt's deadline starts at its own send, and a reply that arrived
+while the caller was collecting another shard is accepted even when
+its deadline has passed since.  :meth:`~WorkerSupervisor.dispatch` is
+``collect(submit(...))``.
+
 ``mode="inline"`` runs the pool in-process (no forks) with identical
 dispatch semantics — the determinism reference for the bit-identity
 check, and the automatic degradation on platforms without ``fork``.
@@ -63,7 +73,7 @@ import multiprocessing
 import os
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -234,6 +244,25 @@ class _Worker:
     #: parent reclaims it on reply — or in ``_fail`` after the kill, so
     #: a dead worker can never leak (or scribble) a recycled slot
     slot: int | None = None
+
+
+@dataclass
+class DispatchTicket:
+    """A batch in flight: made by ``submit``, settled by ``collect``."""
+
+    queries: list[Query]
+    trace_ctx: tuple[int, int] | None
+    #: perf_counter() at submit; ``DispatchResult.seconds`` runs from here
+    start: float
+    #: workers tried so far (>1 means the batch was re-dispatched)
+    attempts: int = 0
+    tried: set[int] = field(default_factory=set)
+    #: worker holding the current attempt; None once every live worker
+    #: has been tried
+    worker: _Worker | None = None
+    request_id: int = 0
+    #: monotonic() time the current attempt times out
+    deadline: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -419,54 +448,67 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def dispatch(
+    def submit(
         self,
         queries: Sequence[Query],
         trace_ctx: tuple[int, int] | None = None,
-    ) -> DispatchResult:
-        """Send one batch to a live worker; re-dispatch on crash/hang.
+    ) -> DispatchTicket:
+        """Send one batch to a live worker and return without waiting.
 
-        Tries each currently-live worker at most once (round-robin from
-        the last dispatch point).  Returns ``values=None`` when no
-        worker could answer — the caller degrades to in-process serving,
-        so a dispatch failure is never an unanswered query.
+        The worker computes while the caller does other work — the shard
+        router sends every shard's batch before it waits for any.
+        :meth:`collect` waits for the answer.  Every ticket must be
+        collected, or its worker's reply (and ring slot) stays in flight.
 
         ``trace_ctx`` is the dispatching span's ``(trace_id, span_id)``;
         the worker adopts it so its spans re-parent under the caller's
         ``serve.batch`` span in the merged trace.
         """
-        start = perf_counter()
+        ticket = DispatchTicket(list(queries), trace_ctx, perf_counter())
         self.restart_due()
-        queries = list(queries)
-        attempts = 0
-        tried: set[int] = set()
-        while True:
-            worker = self._pick(tried)
-            if worker is None:
-                return DispatchResult(
-                    values=None,
-                    worker=None,
-                    attempts=attempts,
-                    seconds=perf_counter() - start,
-                )
-            tried.add(worker.index)
-            attempts += 1
-            values = self._call(worker, queries, trace_ctx)
+        self._send_next(ticket)
+        return ticket
+
+    def collect(self, ticket: DispatchTicket) -> DispatchResult:
+        """Wait for a submitted batch; re-dispatch on crash/hang/error.
+
+        Tries each currently-live worker at most once (round-robin from
+        the last dispatch point).  Returns ``values=None`` when no
+        worker could answer — the caller degrades to in-process serving,
+        so a dispatch failure is never an unanswered query.
+        """
+        while ticket.worker is not None:
+            values = self._receive(ticket)
             if values is not None:
-                if attempts > 1:
+                if ticket.attempts > 1:
                     self._obs_events().emit(
                         "shard.redispatch",
                         shard=self.shard,
-                        worker=worker.name,
-                        batch=len(queries),
-                        attempts=attempts,
+                        worker=ticket.worker.name,
+                        batch=len(ticket.queries),
+                        attempts=ticket.attempts,
                     )
                 return DispatchResult(
                     values=values,
-                    worker=worker.name,
-                    attempts=attempts,
-                    seconds=perf_counter() - start,
+                    worker=ticket.worker.name,
+                    attempts=ticket.attempts,
+                    seconds=perf_counter() - ticket.start,
                 )
+            self._send_next(ticket)
+        return DispatchResult(
+            values=None,
+            worker=None,
+            attempts=ticket.attempts,
+            seconds=perf_counter() - ticket.start,
+        )
+
+    def dispatch(
+        self,
+        queries: Sequence[Query],
+        trace_ctx: tuple[int, int] | None = None,
+    ) -> DispatchResult:
+        """Send one batch and wait for it (:meth:`submit` + :meth:`collect`)."""
+        return self.collect(self.submit(queries, trace_ctx))
 
     def _pick(self, tried: set[int]) -> _Worker | None:
         n = len(self._workers)
@@ -477,39 +519,29 @@ class WorkerSupervisor:
                 return worker
         return None
 
-    def _call(
-        self,
-        worker: _Worker,
-        queries: list[Query],
-        trace_ctx: tuple[int, int] | None = None,
-    ) -> np.ndarray | None:
-        if self.mode == "inline":
-            try:
-                values = np.asarray(
-                    self.estimator.estimate_many(queries), dtype=np.float64
-                )
-                if values.shape != (len(queries),):
-                    raise ValueError(f"bad result shape {values.shape}")
-            except Exception as exc:
-                self._fail(worker, "error", detail=f"{type(exc).__name__}: {exc}")
-                return None
-            worker.last_heartbeat = self._clock()
-            if self.telemetry:
-                # inline workers share the parent's registry; write the
-                # per-worker counter directly with the labels the merge
-                # path would have added
-                self._obs_registry().counter(
-                    WORKER_QUERIES, "Queries answered by worker processes"
-                ).inc(
-                    len(queries),
-                    worker=worker.name,
-                    shard=self.shard,
-                    worker_pid=os.getpid(),
-                )
-            return values
+    def _send_next(self, ticket: DispatchTicket) -> None:
+        """Hand the batch to the next untried live worker, if any is left."""
+        while True:
+            worker = self._pick(ticket.tried)
+            ticket.worker = worker
+            if worker is None:
+                return
+            ticket.tried.add(worker.index)
+            ticket.attempts += 1
+            if self._send(worker, ticket):
+                return
 
+    def _send(self, worker: _Worker, ticket: DispatchTicket) -> bool:
+        """Send the batch to ``worker``; False (worker failed) on error.
+
+        A forked worker's deadline starts at this send.  Inline workers
+        have nothing to send: they answer in :meth:`_receive`.
+        """
+        if self.mode == "inline":
+            return True
+        queries = ticket.queries
         self._request_id += 1
-        request_id = self._request_id
+        ticket.request_id = self._request_id
 
         slot = None
         if self.transport == "shm" and self._ring is not None:
@@ -517,7 +549,9 @@ class WorkerSupervisor:
             if slot is not None:
                 try:
                     nbytes = pack_queries(
-                        queries, self._ring.slot_view(slot), trace_ctx=trace_ctx
+                        queries,
+                        self._ring.slot_view(slot),
+                        trace_ctx=ticket.trace_ctx,
                     )
                 except CodecError:
                     # batch too large for a slot (or unencodable ids):
@@ -528,48 +562,60 @@ class WorkerSupervisor:
         try:
             if slot is not None:
                 worker.slot = slot
-                worker.conn.send(("serve_slot", request_id, slot, nbytes))
+                worker.conn.send(("serve_slot", ticket.request_id, slot, nbytes))
                 self.transport_stats["shm_batches"] += 1
             else:
-                worker.conn.send(("serve", request_id, queries, trace_ctx))
+                worker.conn.send(
+                    ("serve", ticket.request_id, queries, ticket.trace_ctx)
+                )
                 self.transport_stats["pipe_batches"] += 1
         except (BrokenPipeError, EOFError, OSError):
             self._fail(worker, "crash", detail="pipe closed on send")
-            return None
-        deadline = monotonic() + self.request_timeout_seconds
+            return False
+        ticket.deadline = monotonic() + self.request_timeout_seconds
+        return True
+
+    def _receive(self, ticket: DispatchTicket) -> np.ndarray | None:
+        """The current worker's answer, or None after failing it."""
+        worker = ticket.worker
+        if self.mode == "inline":
+            return self._answer_inline(worker, ticket.queries)
         while True:
-            remaining = deadline - monotonic()
-            if remaining <= 0.0:
-                self._fail(worker, "hang", detail="request timeout")
-                return None
+            remaining = ticket.deadline - monotonic()
             try:
-                if not worker.conn.poll(remaining):
+                # Poll once more after the deadline: a reply that arrived
+                # in time while the caller gathered another shard's
+                # batch is not a hang.
+                if not worker.conn.poll(max(remaining, 0.0)):
+                    if remaining <= 0.0:
+                        self._fail(worker, "hang", detail="request timeout")
+                        return None
                     continue  # loop re-checks the deadline
                 message = worker.conn.recv()
             except (EOFError, OSError):
                 self._fail(worker, "crash", detail="pipe closed mid-request")
                 return None
             kind = message[0]
-            if kind == "result" and message[1] == request_id:
+            if kind == "result" and message[1] == ticket.request_id:
                 worker.last_heartbeat = self._clock()
                 self._merge_snapshot(message)
                 return message[2]
-            if kind == "result_slot" and message[1] == request_id:
+            if kind == "result_slot" and message[1] == ticket.request_id:
                 worker.last_heartbeat = self._clock()
                 self._merge_snapshot(message, index=4)
                 values, _codes = unpack_results(
-                    self._ring.slot_view(slot)[: message[3]]
+                    self._ring.slot_view(worker.slot)[: message[3]]
                 )
+                self._ring.release(worker.slot)
                 worker.slot = None
-                self._ring.release(slot)
                 return values
-            if kind == "error" and message[1] == request_id:
+            if kind == "error" and message[1] == ticket.request_id:
                 # The worker survived; its estimator raised.  The worker
                 # stays live (the model is broken, not the process) and
                 # the caller degrades this batch.
-                if slot is not None:
+                if worker.slot is not None:
+                    self._ring.release(worker.slot)
                     worker.slot = None
-                    self._ring.release(slot)
                 worker.last_heartbeat = self._clock()
                 self._merge_snapshot(message, index=3)
                 self._obs_events().emit(
@@ -583,6 +629,33 @@ class WorkerSupervisor:
             # *without* merging its snapshot — the request was already
             # failed over, so accepting late telemetry would let a
             # retried batch count twice.
+
+    def _answer_inline(
+        self, worker: _Worker, queries: list[Query]
+    ) -> np.ndarray | None:
+        try:
+            values = np.asarray(
+                self.estimator.estimate_many(queries), dtype=np.float64
+            )
+            if values.shape != (len(queries),):
+                raise ValueError(f"bad result shape {values.shape}")
+        except Exception as exc:
+            self._fail(worker, "error", detail=f"{type(exc).__name__}: {exc}")
+            return None
+        worker.last_heartbeat = self._clock()
+        if self.telemetry:
+            # inline workers share the parent's registry; write the
+            # per-worker counter directly with the labels the merge
+            # path would have added
+            self._obs_registry().counter(
+                WORKER_QUERIES, "Queries answered by worker processes"
+            ).inc(
+                len(queries),
+                worker=worker.name,
+                shard=self.shard,
+                worker_pid=os.getpid(),
+            )
+        return values
 
     def _merge_snapshot(self, message: tuple, index: int = 3) -> None:
         if len(message) > index and message[index] is not None:

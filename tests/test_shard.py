@@ -1,10 +1,16 @@
 """Tests for the sharded serving tier (repro.shard)."""
 
+import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import CardinalityEstimator, Predicate, Query
 from repro.faults import NaNFault, WorkerCrashFault, WorkerHangFault
 from repro.lifecycle.retrain import RetryPolicy
@@ -65,6 +71,33 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
+
+
+class WorkerSabotage(CardinalityEstimator):
+    """Delegates to ``inner`` except inside the worker named ``victim``.
+
+    There every batch runs ``action`` first (crash or hang), so a fault
+    hits exactly one worker of one shard while the rest of the fleet
+    serves the same model.
+    """
+
+    def __init__(self, inner, victim: str, action) -> None:
+        super().__init__()
+        self.inner = inner
+        self.victim = victim
+        self.action = action
+        self.name = inner.name
+
+    def _fit(self, table, workload) -> None:
+        pass
+
+    def _estimate(self, query) -> float:
+        return self.inner.estimate(query)
+
+    def estimate_many(self, queries) -> np.ndarray:
+        if multiprocessing.current_process().name == self.victim:
+            self.action()
+        return self.inner.estimate_many(queries)
 
 
 def distinct_queries(n: int) -> list[Query]:
@@ -131,6 +164,70 @@ class TestHashRing:
         a = routing_key(ShardRequest(query=query, tenant="a"))
         b = routing_key(ShardRequest(query=query, tenant="b"))
         assert a != b
+
+    def test_routing_key_separates_open_from_closed_bounds(self):
+        predicates = (
+            Predicate(0, None, 5.0),
+            Predicate(0, 0.0, 5.0),
+            Predicate(0, 5.0, None),
+        )
+        keys = {routing_key(ShardRequest(query=Query((p,)))) for p in predicates}
+        assert len(keys) == 3
+
+    def test_equal_queries_built_separately_share_a_key(self):
+        def build(lo):
+            return ShardRequest(
+                query=Query((Predicate(0, lo, 2.0), Predicate(2, None, 7.5))),
+                tenant="t",
+            )
+
+        a, b = build(1.0), build(1.0)
+        assert a.query is not b.query
+        assert routing_key(a) == routing_key(b)
+        # equal bounds of equal queries: -0.0 == 0.0, and 1 == 1.0
+        assert routing_key(build(-0.0)) == routing_key(build(0.0))
+        assert routing_key(build(1)) == routing_key(build(1.0))
+
+    def test_routes_survive_a_different_hash_seed(self, tiny_table):
+        # Routing must not depend on the salted builtin hash: a process
+        # started with another PYTHONHASHSEED routes every request alike.
+        script = """
+import json, sys
+import numpy as np
+from repro.core import Predicate, Query, Table
+from repro.serve import HeuristicConstantEstimator
+from repro.shard import ShardRequest, ShardRouter
+
+table = Table("t", np.arange(24.0).reshape(8, 3), ["a", "b", "c"], [False] * 3)
+estimator = HeuristicConstantEstimator().fit(table)
+router = ShardRouter(estimator, [], num_shards=2, mode="inline")
+rng = np.random.default_rng(7)
+requests = []
+for i in range(200):
+    lo = float(rng.integers(0, 10))
+    pred = Predicate(int(rng.integers(0, 3)), None if i % 3 == 0 else lo, lo + 2.5)
+    requests.append(ShardRequest(query=Query((pred,)), tenant=f"tenant-{i % 5}"))
+json.dump([router.route(r) for r in requests], sys.stdout)
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        routes = []
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            routes.append(json.loads(out))
+        assert len(routes[0]) == 200
+        assert routes[0] == routes[1]
+        assert set(routes[0]) == {"shard-0", "shard-1"}
 
 
 # ----------------------------------------------------------------------
@@ -404,6 +501,26 @@ class TestSupervisorFork:
         assert all(not p.is_alive() for p in processes)
         assert set(supervisor.worker_states().values()) == {STOPPED}
 
+    def test_reply_read_after_its_deadline_is_accepted(self, tiny_table):
+        # The deadline starts at the send.  A reply that arrived in time
+        # while the caller was busy gathering another shard is an answer,
+        # not a hang.
+        supervisor = self.make(
+            ConstantEstimator(6.0),
+            tiny_table,
+            num_workers=1,
+            request_timeout_seconds=0.2,
+        )
+        try:
+            ticket = supervisor.submit(distinct_queries(4))
+            time.sleep(0.4)
+            result = supervisor.collect(ticket)
+            np.testing.assert_array_equal(result.values, [6.0] * 4)
+            assert result.attempts == 1
+            assert supervisor.total_restarts == 0
+        finally:
+            supervisor.drain()
+
     def test_worker_error_keeps_worker_alive(self, tiny_table):
         supervisor = self.make(FlakyEstimator(), tiny_table, num_workers=1)
         try:
@@ -552,6 +669,21 @@ class TestShardRouter:
             served = router.serve_batch(requests)
         assert [s.estimate for s in served] == [4.0] * len(requests)
 
+    def test_rolling_swap_promotes_overshooting_candidate(self, tiny_table, requests):
+        # A finite answer above num_rows is what serving clamps and serves
+        # as "sanitized"; the probe must not reject what serving accepts.
+        num_rows = tiny_table.num_rows
+        with self.router(tiny_table) as router:
+            overshoot = ConstantEstimator(10.0 * num_rows, name="overshoot")
+            report = router.rolling_swap(
+                overshoot.fit(tiny_table),
+                probe_queries=[r.query for r in requests[:2]],
+            )
+            assert report.promoted
+            served = router.serve_batch(requests)
+        assert [s.estimate for s in served] == [num_rows] * len(requests)
+        assert all(s.attempts == (("worker", "sanitized"),) for s in served)
+
     def test_rolling_swap_gate_rejection_touches_no_shard(self, tiny_table, requests):
         from repro.lifecycle.gate import PromotionGate
 
@@ -606,6 +738,95 @@ class TestShardRouter:
 
 
 @needs_fork
+class TestScatterGatherFaults:
+    """Faults in one shard while the other shard's batch is in flight."""
+
+    def fleet(self, small_census, action, **kwargs):
+        from repro.estimators.traditional import SamplingEstimator
+        from repro.serve import HeuristicConstantEstimator
+
+        primary = SamplingEstimator().fit(small_census)
+        heuristic = HeuristicConstantEstimator().fit(small_census)
+        sabotage = WorkerSabotage(primary, "shard-0/w0", action)
+        router = ShardRouter(
+            primary,
+            [heuristic],
+            num_shards=2,
+            mode="fork",
+            worker_estimator=sabotage.fit(small_census),
+            **kwargs,
+        )
+        return router, primary, heuristic
+
+    @staticmethod
+    def shard0_first(router, queries):
+        """Requests of both shards, shard-0's first (so sent first)."""
+        requests = [ShardRequest(query=q) for q in queries]
+        routes = [router.route(r) for r in requests]
+        assert set(routes) == {"shard-0", "shard-1"}
+        order = sorted(range(len(requests)), key=lambda i: routes[i] != "shard-0")
+        return [requests[i] for i in order], [routes[i] for i in order]
+
+    def test_crash_in_one_shard_while_the_other_is_in_flight(
+        self, small_census, census_workloads
+    ):
+        router, primary, heuristic = self.fleet(
+            small_census, lambda: os._exit(1), workers_per_shard=2
+        )
+        _, test = census_workloads
+        requests, routes = self.shard0_first(router, test.queries[:64])
+        with router:
+            served = router.serve_batch(requests)
+            stats = router.stats()
+            supervisor = router.shards["shard-0"].supervisor
+            reclaimed = supervisor.transport_stats["slots_reclaimed"]
+            free_slots = supervisor.ring_free_count
+        # shard-0/w0 died holding its batch; w1 answered it
+        assert len(served) == len(requests)
+        assert all(s.tier == "worker" for s in served)
+        assert stats["shard-0"].redispatches == 1
+        assert stats["shard-1"].redispatches == 0
+        assert reclaimed == 1
+        assert free_slots == 4  # two workers + two spare slots, none leaked
+        # each shard's answers match an inline replay of its sub-batch
+        with ShardRouter(primary, [heuristic], num_shards=1, mode="inline") as ref:
+            for name in ("shard-0", "shard-1"):
+                mine = [i for i, r in enumerate(routes) if r == name]
+                replay = ref.serve_batch([requests[i] for i in mine])
+                assert [served[i].estimate for i in mine] == [
+                    s.estimate for s in replay
+                ]
+
+    def test_hang_in_one_shard_does_not_time_out_the_other(
+        self, small_census, census_workloads
+    ):
+        router, _, _ = self.fleet(
+            small_census,
+            lambda: time.sleep(30.0),
+            request_timeout_seconds=0.5,
+        )
+        _, test = census_workloads
+        requests, routes = self.shard0_first(router, test.queries[:64])
+        with router:
+            served = router.serve_batch(requests)
+            restarts = {
+                name: shard.supervisor.total_restarts
+                for name, shard in router.shards.items()
+            }
+        # shard-1's reply was read after shard-0's 0.5 s wait; it was on
+        # time at its own deadline and is served as a worker answer
+        assert all(
+            s.tier == "worker" for s, r in zip(served, routes) if r == "shard-1"
+        )
+        assert all(
+            s.tier != "worker" and np.isfinite(s.estimate)
+            for s, r in zip(served, routes)
+            if r == "shard-0"
+        )
+        assert restarts == {"shard-0": 1, "shard-1": 0}
+
+
+@needs_fork
 class TestForkTelemetry:
     """Cross-process telemetry through real forked workers."""
 
@@ -652,10 +873,27 @@ class TestForkTelemetry:
             assert int(merged) == totals.worker_answered
 
             spans = collector.spans()
+            by_id = {s.span_id: s for s in spans}
             worker_spans = [s for s in spans if "worker_pid" in s.attrs]
             assert worker_spans, "no worker spans survived the merge"
             assert all(s.attrs.get("shard") for s in worker_spans)
-            batch_ids = {s.span_id for s in spans if s.name == "serve.batch"}
-            assert any(s.parent_id in batch_ids for s in worker_spans)
+            # Both shards' batches were in flight together, yet every
+            # worker-side root span sits under its own shard's batch span.
+            worker_ids = {s.span_id for s in worker_spans}
+            worker_roots = [s for s in worker_spans if s.parent_id not in worker_ids]
+            assert {s.attrs["shard"] for s in worker_roots} == {
+                "shard-0",
+                "shard-1",
+            }
+            for s in worker_roots:
+                parent = by_id[s.parent_id]
+                assert parent.name == "serve.batch"
+                assert parent.attrs["shard"] == s.attrs["shard"]
+            # ...and no shard's batch span descends from another shard's.
+            for batch in collector.spans("serve.batch"):
+                ancestor = by_id.get(batch.parent_id)
+                while ancestor is not None:
+                    assert ancestor.name != "serve.batch"
+                    ancestor = by_id.get(ancestor.parent_id)
         finally:
             uninstall_collector()

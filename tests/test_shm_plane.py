@@ -486,6 +486,14 @@ class TestSharedSemanticCache:
     def test_second_pass_served_from_semantic_cache(self, tiny_table):
         requests = [ShardRequest(query=q) for q in queries_for(10)]
         with self.router(tiny_table) as router:
+            # A capacity-built cache carries a row sample of the table, so
+            # semantic hits interpolate empirically, not by interval width.
+            sample = router.semantic_cache.sample
+            assert sample is not None
+            assert sample.shape == (tiny_table.num_rows, tiny_table.num_columns)
+            assert {tuple(r) for r in sample} <= {
+                tuple(r) for r in tiny_table.data.astype(np.float32)
+            }
             first = router.serve_batch(requests)
             assert all(s.tier != "semantic-cache" for s in first)
             second = router.serve_batch(requests)
