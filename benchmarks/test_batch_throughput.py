@@ -103,6 +103,12 @@ class TestLiveRun:
                 f"({live[method].speedup:.2f}x)"
             )
 
+    def test_deepdb_batch_beats_scalar_loop(self, live):
+        # One network pass per batch instead of one recursion per query.
+        assert live["deepdb"].speedup > 2.0, (
+            f"deepdb: batched path {live['deepdb'].speedup:.2f}x the scalar loop"
+        )
+
 
 def test_workload_regeneration_is_deterministic(ctx):
     """Same seed, same batch: the CLI regen reproduces the workload."""

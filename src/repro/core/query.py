@@ -12,7 +12,11 @@ a :class:`Query` is a conjunction of predicates over distinct columns.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .table import Table
 
@@ -123,3 +127,51 @@ def equality(column: int, value: float) -> Predicate:
 def query_of(*predicates: Predicate) -> Query:
     """Build a query from predicates given in any order."""
     return Query(tuple(predicates))
+
+
+@dataclass(frozen=True)
+class PredicateArrays:
+    """Every predicate of a query batch as flat arrays, query-major.
+
+    Predicate ``k`` belongs to query ``query[k]``; a query's predicates
+    are contiguous and keep their order.  An open side reads ``-inf`` in
+    ``lo`` or ``inf`` in ``hi`` and is flagged in ``lo_open``/``hi_open``
+    (an infinite bound given by the caller is not open).
+    """
+
+    arity: np.ndarray
+    query: np.ndarray
+    column: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_open: np.ndarray
+    hi_open: np.ndarray
+
+    @classmethod
+    def of(cls, queries: Sequence[Query]) -> "PredicateArrays":
+        preds = [p for q in queries for p in q.predicates]
+        n = len(preds)
+        arity = np.array([len(q.predicates) for q in queries], dtype=np.int64)
+        los = [p.lo for p in preds]
+        his = [p.hi for p in preds]
+        lo = [-math.inf if v is None else v for v in los]
+        hi = [math.inf if v is None else v for v in his]
+        return cls(
+            arity=arity,
+            query=np.repeat(np.arange(len(queries)), arity),
+            column=np.fromiter([p.column for p in preds], np.int64, n),
+            lo=np.fromiter(lo, np.float64, n),
+            hi=np.fromiter(hi, np.float64, n),
+            lo_open=np.fromiter([v is None for v in los], bool, n),
+            hi_open=np.fromiter([v is None for v in his], bool, n),
+        )
+
+    @property
+    def is_empty(self) -> np.ndarray:
+        """:attr:`Predicate.is_empty` per predicate."""
+        return self.lo > self.hi
+
+    @property
+    def is_equality(self) -> np.ndarray:
+        """:attr:`Predicate.is_equality` per predicate."""
+        return ~self.lo_open & ~self.hi_open & (self.lo == self.hi)

@@ -10,10 +10,16 @@ assumption.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..core.query import Predicate
 from ..core.table import Table
+
+#: Resolution of fractional bin coverage (see
+#: :meth:`ColumnDiscretizer.predicate_weights_many`).
+WEIGHT_GRID = 2.0**-20
 
 
 class ColumnDiscretizer:
@@ -60,41 +66,60 @@ class ColumnDiscretizer:
     def predicate_weights(self, predicate: Predicate) -> np.ndarray:
         """Per-bin coverage weights in [0, 1] for a range predicate.
 
-        Exact columns get 0/1 indicator weights; binned columns get
-        fractional weights on partially covered boundary bins.
+        The one-row case of :meth:`predicate_weights_many`.
         """
-        if predicate.is_empty:
-            return np.zeros(self.num_bins)
+        lo = -np.inf if predicate.lo is None else predicate.lo
+        hi = np.inf if predicate.hi is None else predicate.hi
+        return self.predicate_weights_many(
+            np.array([lo], dtype=np.float64),
+            np.array([hi], dtype=np.float64),
+            [predicate.is_equality],
+        )[0]
+
+    def predicate_weights_many(
+        self, lo: np.ndarray, hi: np.ndarray, equality: Sequence[bool]
+    ) -> np.ndarray:
+        """Stacked ``(len(lo), num_bins)`` coverage weights.
+
+        Row ``j`` covers ``[lo[j], hi[j]]`` (``-inf``/``inf`` for an open
+        side); ``equality[j]`` marks an equality predicate.  Exact
+        columns get 0/1 indicator weights; binned columns get fractional
+        weights on partially covered boundary bins, rounded to a
+        multiple of :data:`WEIGHT_GRID`.  On that grid every
+        ``counts @ weights`` over integer bin counts below ``2**33`` is
+        exact in float64, so a matrix product over stacked rows and a
+        per-row dot product give the same bits.
+        """
+        # An empty range (lo > hi) needs no special case: every value is
+        # below lo or above hi, and every bin overlap is negative.
         if self.exact:
             assert self.values is not None
-            w = np.ones(self.num_bins)
-            if predicate.lo is not None:
-                w[self.values < predicate.lo] = 0.0
-            if predicate.hi is not None:
-                w[self.values > predicate.hi] = 0.0
-            return w
+            values = self.values
+            outside = (values < lo[:, None]) | (values > hi[:, None])
+            return (~outside).astype(np.float64)
         assert self.edges is not None
-        lo = self.edges[0] if predicate.lo is None else predicate.lo
-        hi = self.edges[-1] if predicate.hi is None else predicate.hi
-        if predicate.is_equality:
-            # An equality on a binned column covers one value of the bin.
-            w = np.zeros(self.num_bins)
-            b = int(np.clip(np.searchsorted(self.edges[1:-1], lo, side="right"), 0, self.num_bins - 1))
-            width = self.edges[b + 1] - self.edges[b]
-            w[b] = min(1.0, 1.0 / max(width, 1.0))
-            return w
+        # np.unique edges are strictly increasing: every bin has width > 0.
         lows = self.edges[:-1]
         highs = self.edges[1:]
         widths = highs - lows
-        overlap = np.minimum(hi, highs) - np.maximum(lo, lows)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(
-                widths > 0.0,
-                overlap / widths,
-                # Degenerate bucket: indicator on its single point.
-                ((lows >= lo) & (lows <= hi)).astype(np.float64),
+        with np.errstate(invalid="ignore"):
+            overlap = np.minimum(hi[:, None], highs) - np.maximum(lo[:, None], lows)
+        # fmax/fmin map a NaN bound's NaN coverage to 0.
+        w = np.fmin(np.fmax(overlap / widths, 0.0), 1.0)
+        rows = np.flatnonzero(equality)
+        if rows.size:
+            # An equality on a binned column covers one value of the bin.
+            b = np.clip(
+                np.searchsorted(self.edges[1:-1], lo[rows], side="right"),
+                0,
+                self.num_bins - 1,
             )
-        return np.clip(np.nan_to_num(frac, nan=0.0), 0.0, 1.0)
+            w[rows] = 0.0
+            w[rows, b] = np.minimum(1.0, 1.0 / np.maximum(widths[b], 1.0))
+        w *= 1.0 / WEIGHT_GRID
+        np.round(w, out=w)
+        w *= WEIGHT_GRID
+        return w
 
 
 class Discretizer:

@@ -14,15 +14,21 @@ Inference computes the probability of the query box bottom-up (leaves
 answer per-column coverage, products multiply, sums average), which is
 why DeepDB satisfies every logical rule of paper Section 6.3.  Updates
 insert a sample of the appended tuples by routing them down the network.
+
+A batch is evaluated once over the whole network (:class:`_BatchPlan`):
+each node computes a length-B array in the scalar recursion's operation
+order, so ``estimate_many`` returns the scalar loop's bits.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from ...cluster import kmeans, rdc_matrix
 from ...core.estimator import CardinalityEstimator
-from ...core.query import Query
+from ...core.query import PredicateArrays, Query
 from ...core.table import Table
 from ...core.workload import Workload
 from ..discretize import Discretizer
@@ -155,6 +161,80 @@ class _Sum(_Node):
         return 8 * len(self.counts) + sum(c.size_bytes() for c in self.children)
 
 
+class _BatchPlan:
+    """The SPN flattened for per-batch evaluation (derived, never saved).
+
+    Leaves of one column are stacked into a ``(leaves, bins)`` count
+    matrix, so a batch costs one matrix product per column; internal
+    nodes become post-order steps over length-B arrays.  The plan copies
+    counts, so it is rebuilt whenever the network changes.
+    """
+
+    def __init__(self, root: _Node) -> None:
+        leaves: dict[int, list[_Leaf]] = {}
+        #: post-order steps: ("leaf", column, slot), ("product", children)
+        #: or ("sum", children, weights, total); children index earlier steps
+        self.steps: list[tuple] = []
+        self._flatten(root, leaves)
+        self.counts = {
+            c: np.stack([leaf.counts for leaf in ls]) for c, ls in leaves.items()
+        }
+        self.totals = {
+            c: np.array([leaf.total for leaf in ls]) for c, ls in leaves.items()
+        }
+
+    def _flatten(self, node: _Node, leaves: dict[int, list[_Leaf]]) -> int:
+        if isinstance(node, _Leaf):
+            slots = leaves.setdefault(node.column, [])
+            slots.append(node)
+            self.steps.append(("leaf", node.column, len(slots) - 1))
+        elif isinstance(node, _Product):
+            children = [self._flatten(c, leaves) for c in node.children]
+            self.steps.append(("product", children))
+        else:
+            assert isinstance(node, _Sum)
+            children = [self._flatten(c, leaves) for c in node.children]
+            self.steps.append(("sum", children, list(node.counts), sum(node.counts)))
+        return len(self.steps) - 1
+
+    def probability(
+        self, size: int, weights: dict[int, tuple[np.ndarray, np.ndarray]]
+    ) -> np.ndarray:
+        """Per-query probabilities; ``weights[c]`` is ``(rows, W_c)``:
+        the queries that constrain column ``c`` and their stacked
+        coverage weights.  A column a query leaves free stays 1.0."""
+        columns: dict[int, np.ndarray] = {}
+        for column, counts in self.counts.items():
+            values = np.ones((len(counts), size))
+            if column in weights:
+                rows, w = weights[column]
+                totals = self.totals[column]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    p = (w @ counts.T) / totals
+                p[:, totals == 0.0] = 0.0
+                values[:, rows] = p.T
+            columns[column] = values
+        out: list[np.ndarray] = []
+        for step in self.steps:
+            if step[0] == "leaf":
+                out.append(columns[step[1]][step[2]])
+            elif step[0] == "product":
+                result = out[step[1][0]]
+                for child in step[1][1:]:
+                    result = result * out[child]
+                out.append(result)
+            else:
+                _, children, counts, total = step
+                if total == 0.0:
+                    out.append(np.zeros(size))
+                    continue
+                result = counts[0] / total * out[children[0]]
+                for child, cnt in zip(children[1:], counts[1:]):
+                    result = result + cnt / total * out[child]
+                out.append(result)
+        return out[-1]
+
+
 def _independent_groups(
     scores: np.ndarray, threshold: float
 ) -> list[list[int]]:
@@ -200,6 +280,7 @@ class DeepDbEstimator(CardinalityEstimator):
         self.seed = seed
         self._disc: Discretizer | None = None
         self._root: _Node | None = None
+        self._plan: _BatchPlan | None = None
 
     # ------------------------------------------------------------------
     # Structure learning
@@ -212,6 +293,7 @@ class DeepDbEstimator(CardinalityEstimator):
         self._root = self._learn(
             binned, list(range(table.num_columns)), rng, min_slice, row_split_ok=True
         )
+        self._plan = _BatchPlan(self._root)
 
     def _learn(
         self,
@@ -281,6 +363,22 @@ class DeepDbEstimator(CardinalityEstimator):
         }
         return self._root.probability(weights) * self.table.num_rows
 
+    def _estimate_batch(self, queries: Sequence[Query]) -> np.ndarray:
+        """One pass over the network for the whole batch (see module doc)."""
+        assert self._disc is not None and self._plan is not None
+        preds = PredicateArrays.of(queries)
+        equality = preds.is_equality
+        weights = {}
+        for column in np.unique(preds.column).tolist():
+            on = preds.column == column
+            weights[column] = (
+                preds.query[on],
+                self._disc.columns[column].predicate_weights_many(
+                    preds.lo[on], preds.hi[on], equality[on]
+                ),
+            )
+        return self._plan.probability(len(queries), weights) * self.table.num_rows
+
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
@@ -298,6 +396,17 @@ class DeepDbEstimator(CardinalityEstimator):
         # distribution toward the appended data while the row count used
         # to scale estimates comes from the live table.
         self._root.insert(sample_binned)
+        self._plan = _BatchPlan(self._root)
 
     def model_size_bytes(self) -> int:
         return self._root.size_bytes() if self._root is not None else 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_plan"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._root is not None:
+            self._plan = _BatchPlan(self._root)

@@ -34,9 +34,11 @@ row increments exactly the one bucket that contains it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from ..core.query import Predicate, Query
+from ..core.query import Predicate, PredicateArrays, Query
 
 #: distinct-value ceiling under which a column keeps exact counts
 DEFAULT_MAX_EXACT = 4096
@@ -90,7 +92,9 @@ class ColumnBound:
         if self.exact:
             a = int(np.searchsorted(self.values, lo_v, side="left"))
             b = int(np.searchsorted(self.values, hi_v, side="right"))
-            return int(self._prefix[b] - self._prefix[a])
+            # A NaN bound sorts past the end, so b < a is possible; NaN
+            # matches no rows and 0 is still never an undercount.
+            return max(0, int(self._prefix[b] - self._prefix[a]))
         if hi_v < self.edges[0] or lo_v > self.edges[-1]:
             return 0
         # Every bucket the range touches contributes its full count:
@@ -103,6 +107,28 @@ class ColumnBound:
             max(0, int(np.searchsorted(self.edges, hi_v, side="right")) - 1),
         )
         return int(self.bucket_counts[first : last + 1].sum())
+
+    def count_many(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`count` for paired bound arrays (``-inf``/``inf`` for an
+        open side): one vectorized search per bound array."""
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        if self.exact:
+            a = np.searchsorted(self.values, lo, side="left")
+            b = np.searchsorted(self.values, hi, side="right")
+            counts = self._prefix[b] - self._prefix[a]
+        else:
+            nb = len(self.bucket_counts)
+            first = np.maximum(0, np.searchsorted(self.edges, lo, side="right") - 1)
+            last = np.minimum(
+                nb - 1,
+                np.maximum(0, np.searchsorted(self.edges, hi, side="right") - 1),
+            )
+            prefix = np.concatenate(([0], np.cumsum(self.bucket_counts)))
+            counts = prefix[last + 1] - prefix[first]
+            counts[(hi < self.edges[0]) | (lo > self.edges[-1])] = 0
+        counts[hi < lo] = 0
+        return np.maximum(counts, 0)
 
     def add(self, values: np.ndarray) -> None:
         """Fold appended rows in; the bound stays sound."""
@@ -176,9 +202,26 @@ class BoundSketch:
         bound = min(self.predicate_bound(p) for p in query.predicates)
         return float(min(bound, self._num_rows))
 
+    def upper_bounds(self, queries: Sequence[Query]) -> np.ndarray:
+        """:meth:`upper_bound` for a batch: one :meth:`ColumnBound
+        .count_many` per column, then the min over each query's
+        predicates."""
+        preds = PredicateArrays.of(queries)
+        counts = np.empty(len(preds.column), dtype=np.int64)
+        for column in np.unique(preds.column).tolist():
+            on = preds.column == column
+            counts[on] = self._columns[column].count_many(preds.lo[on], preds.hi[on])
+        bounds = np.full(len(queries), self._num_rows, dtype=np.int64)
+        np.minimum.at(bounds, preds.query, counts)
+        return bounds.astype(np.float64)
+
     def lower_bound(self, query: Query) -> float:
         """Trivial floor (0; contradictions are caught by the shortcut)."""
         return 0.0
+
+    def lower_bounds(self, queries: Sequence[Query]) -> np.ndarray:
+        """:meth:`lower_bound` for a batch."""
+        return np.zeros(len(queries))
 
     def bounds(self, query: Query) -> tuple[float, float]:
         return self.lower_bound(query), self.upper_bound(query)

@@ -13,6 +13,9 @@ deliberately passive — the :class:`~repro.serve.EstimatorService` and
 * ``is_ood(query)`` — decide whether the learned primary should be
   skipped for this query.
 
+Batch callers use ``clamp_many`` and ``is_ood_many``/``ood_flags``, one
+vectorized pass per batch with the same per-query results.
+
 The guard also relays accuracy feedback to an attached
 :class:`~repro.guard.QuarantineMonitor` (see :meth:`observe_qerror`),
 so ``service.record_actual`` drives demotion without the service layer
@@ -22,6 +25,10 @@ unfitted chain and simply wake up at ``fit`` time.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
 
 from ..core.query import Query
 from .bounds import DEFAULT_MAX_EXACT, DEFAULT_NUM_BUCKETS, BoundSketch
@@ -101,6 +108,26 @@ class EstimateGuard:
             return lower, "below-lower"
         return value, None
 
+    def clamp_many(
+        self, queries: Sequence[Query], values: np.ndarray
+    ) -> tuple[np.ndarray, list[str | None]]:
+        """:meth:`clamp` for a batch: the clamped values and, per query,
+        the violation reason or ``None``."""
+        values = np.asarray(values, dtype=np.float64)
+        if self.sketch is None:
+            return values, [None] * len(values)
+        upper = self.sketch.upper_bounds(queries)
+        lower = self.sketch.lower_bounds(queries)
+        above = values > upper
+        below = ~above & (values < lower)
+        self.clamped += int(np.count_nonzero(above | below))
+        served = np.where(above, upper, np.where(below, lower, values))
+        reasons = [
+            "above-upper" if a else "below-lower" if b else None
+            for a, b in zip(above.tolist(), below.tolist())
+        ]
+        return served, reasons
+
     def ood_verdict(self, query: Query) -> OodVerdict | None:
         if self.detector is None:
             return None
@@ -113,6 +140,20 @@ class EstimateGuard:
             self.ood_rerouted += 1
             return True
         return False
+
+    def ood_flags(self, queries: Sequence[Query]) -> np.ndarray:
+        """Per-query :meth:`is_ood` decisions for a batch, counting none
+        (a caller that only splits the batch leaves the reroute count to
+        the chain that serves the split)."""
+        if self.detector is None:
+            return np.zeros(len(queries), dtype=bool)
+        return self.detector.scores(queries) > self.detector.threshold
+
+    def is_ood_many(self, queries: Sequence[Query]) -> np.ndarray:
+        """:meth:`is_ood` for a batch, counting every reroute."""
+        flags = self.ood_flags(queries)
+        self.ood_rerouted += int(np.count_nonzero(flags))
+        return flags
 
     # ------------------------------------------------------------------
     # Feedback relay

@@ -27,11 +27,12 @@ training domain, the larger the score.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.query import Query
+from ..core.query import PredicateArrays, Query
 from ..core.workload import Workload
 
 #: score above which a query is treated as out-of-distribution
@@ -103,6 +104,11 @@ class OodDetector:
         self._lows = np.array([r[0] for r in snapshot.column_ranges])
         self._highs = np.array([r[1] for r in snapshot.column_ranges])
         self._spans = np.maximum(self._highs - self._lows, 1e-12)
+        # Columns past the snapshot's width list judge against 1.0, as
+        # in score().
+        known = snapshot.max_norm_width[: len(self._lows)]
+        self._trained_widths = np.ones(len(self._lows))
+        self._trained_widths[: len(known)] = known
 
     # ------------------------------------------------------------------
     def score(self, query: Query) -> OodVerdict:
@@ -141,6 +147,45 @@ class OodDetector:
                     f"col {p.column} width {width:.2f} > trained {trained_w:.2f}"
                 )
         return OodVerdict(score=total, reasons=tuple(reasons))
+
+    def scores(self, queries: Sequence[Query]) -> np.ndarray:
+        """``score(q).score`` for every query, without the reasons.
+
+        The per-predicate terms are computed for the whole batch at
+        once, laid out per query in :meth:`score`'s order (arity term,
+        then each predicate's range and width terms, 0.0 where a term
+        does not apply) and summed left to right by ``cumsum``, so each
+        query gets the scalar loop's bits.
+        """
+        preds = PredicateArrays.of(queries)
+        arity = preds.arity
+        lo_a, hi_a = self.snapshot.arity_range
+        overshoot = np.where(
+            arity > hi_a, arity - hi_a, np.where(arity < lo_a, lo_a - arity, 0)
+        )
+        cols = preds.column
+        t_lo, t_hi, span = self._lows[cols], self._highs[cols], self._spans[cols]
+        lo = np.where(preds.lo_open, t_lo, preds.lo)
+        hi = np.where(preds.hi_open, t_hi, preds.hi)
+        live = ~preds.is_empty
+        with np.errstate(invalid="ignore", over="ignore"):
+            # np.where(x > 0, x, 0) is Python's max(0.0, x), NaN included.
+            below, above = t_lo - lo, hi - t_hi
+            overhang = np.where(below > 0.0, below, 0.0) + np.where(
+                above > 0.0, above, 0.0
+            )
+            width = (hi - lo) / span
+            trained = self._trained_widths[cols]
+            terms = np.zeros((len(arity), 1 + 2 * int(arity.max(initial=0))))
+            terms[:, 0] = 0.25 * overshoot
+            pos = np.arange(len(cols)) - (np.cumsum(arity) - arity)[preds.query]
+            terms[preds.query, 1 + 2 * pos] = np.where(
+                live & (overhang > 0.0), overhang / span, 0.0
+            )
+            terms[preds.query, 2 + 2 * pos] = np.where(
+                live & (width > trained), width - trained, 0.0
+            )
+        return np.cumsum(terms, axis=1)[:, -1]
 
     def is_ood(self, query: Query) -> bool:
         return self.score(query).score > self.threshold

@@ -216,6 +216,49 @@ class _Tier:
         )
 
 
+@dataclass(frozen=True)
+class ScreenedAnswers:
+    """A tier's raw batch answers after sanitizing and the guard clamp."""
+
+    #: False for NaN/inf answers, which are rejected, not served
+    finite: np.ndarray
+    #: True where the raw answer already lay in ``[0, num_rows]``
+    sane: np.ndarray
+    #: raw answers clipped into ``[0, num_rows]``
+    sanitized: np.ndarray
+    #: sanitized answers clamped into the guard's provable interval
+    served: np.ndarray
+    #: the guard's violation reason per answer, or None
+    reasons: list[str | None]
+
+
+def screen_answers(
+    raw: np.ndarray, num_rows: int, queries: Sequence[Query], guard=None
+) -> ScreenedAnswers:
+    """The batch judgement arithmetic shared by ``serve_batch`` and the
+    shard tier: one vectorized sanitize and one guard clamp pass over
+    the finite answers.  Callers keep the per-query bookkeeping."""
+    raw = np.asarray(raw, dtype=np.float64)
+    finite = np.isfinite(raw)
+    sanitized = np.clip(raw, 0.0, float(num_rows))
+    served = sanitized.copy()
+    reasons: list[str | None] = [None] * len(raw)
+    if guard is not None and finite.any():
+        ok = np.flatnonzero(finite)
+        served[ok], clamped = guard.clamp_many(
+            [queries[pos] for pos in ok], sanitized[ok]
+        )
+        for pos, reason in zip(ok.tolist(), clamped):
+            reasons[pos] = reason
+    return ScreenedAnswers(
+        finite=finite,
+        sane=(raw >= 0.0) & (raw <= num_rows),
+        sanitized=sanitized,
+        served=served,
+        reasons=reasons,
+    )
+
+
 class EstimatorService(CardinalityEstimator):
     """Serve estimates from a fallback chain of estimator tiers.
 
@@ -644,16 +687,15 @@ class EstimatorService(CardinalityEstimator):
         # tier-0 sub-batch and rejoin the walk at tier 1, so the learned
         # primary never sees them (mirrors the scalar path's skip).
         ood_carry: list[int] = []
-        if self.guard is not None and len(self._tiers) > 1:
-            for i in pending:
-                if self.guard.is_ood(queries[i]):
-                    ood_carry.append(i)
-                    attempts[i].append(("guard", "ood-reroute"))
-                    self._count_guard_ood()
-                    self._obs_events().emit("guard.ood", service=self.name)
+        if self.guard is not None and len(self._tiers) > 1 and pending:
+            flags = self.guard.is_ood_many([queries[i] for i in pending])
+            ood_carry = [i for i, flag in zip(pending, flags) if flag]
+            for i in ood_carry:
+                attempts[i].append(("guard", "ood-reroute"))
+                self._count_guard_ood()
+                self._obs_events().emit("guard.ood", service=self.name)
             if ood_carry:
-                carried = set(ood_carry)
-                pending = [i for i in pending if i not in carried]
+                pending = [i for i, flag in zip(pending, flags) if not flag]
 
         last = len(self._tiers) - 1
         for index, tier in enumerate(self._tiers):
@@ -722,6 +764,9 @@ class EstimatorService(CardinalityEstimator):
                         )
                     continue
 
+                # The loop keeps the per-query bookkeeping in the scalar
+                # path's order; the arithmetic ran once for the sub-batch.
+                judged = screen_answers(raw, table.num_rows, sub, self.guard)
                 still: list[int] = []
                 for pos, i in enumerate(pending):
                     value = float(raw[pos])
@@ -739,23 +784,22 @@ class EstimatorService(CardinalityEstimator):
                         )
                         still.append(i)
                         continue
-                    if 0.0 <= value <= table.num_rows:
-                        outcome = "served"
-                    else:
-                        value, outcome = (
-                            clamp_to_bounds(value, table.num_rows),
-                            "sanitized",
-                        )
+                    value = float(judged.served[pos])
+                    outcome = "served"
+                    if not judged.sane[pos]:
+                        outcome = "sanitized"
                         tier.stats.sanitized += 1
                         self._obs_events().emit(
                             "serve.sanitized",
                             tier=tier.name,
                             raw=float(raw[pos]),
-                            served=value,
+                            served=float(judged.sanitized[pos]),
                         )
-                    value, outcome = self._guard_clamp(
-                        tier, queries[i], float(raw[pos]), value, outcome
-                    )
+                    reason = judged.reasons[pos]
+                    if reason is not None:
+                        outcome = self._note_guard_clamp(
+                            tier, float(raw[pos]), value, reason
+                        )
                     if outcome == "served":
                         tier.breaker.record_success()
                     else:
@@ -908,17 +952,23 @@ class EstimatorService(CardinalityEstimator):
             return value, outcome
         value, reason = self.guard.clamp(query, value)
         if reason is not None:
-            outcome = "guard-clamped"
-            tier.stats.guard_clamped += 1
-            self._count_guard_clamp(reason)
-            self._obs_events().emit(
-                "guard.clamp",
-                tier=tier.name,
-                raw=raw,
-                served=value,
-                reason=reason,
-            )
+            outcome = self._note_guard_clamp(tier, raw, value, reason)
         return value, outcome
+
+    def _note_guard_clamp(
+        self, tier: _Tier, raw: float, served: float, reason: str
+    ) -> str:
+        """Count one guard clamp against ``tier``; returns its outcome."""
+        tier.stats.guard_clamped += 1
+        self._count_guard_clamp(reason)
+        self._obs_events().emit(
+            "guard.clamp",
+            tier=tier.name,
+            raw=raw,
+            served=served,
+            reason=reason,
+        )
+        return "guard-clamped"
 
     def _last_resort_value(self, query: Query, table: Table) -> float:
         """The emergency answer, clamped into every bound we can prove."""

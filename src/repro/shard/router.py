@@ -39,7 +39,6 @@ trip entirely (counted under ``repro_fastpath_semantic_total{shard}``).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -69,9 +68,8 @@ from ..obs import (
     resume_span,
     start_span,
 )
-from ..rules.enforce import clamp_to_bounds, is_sane
 from ..serve.heuristic import HeuristicConstantEstimator
-from ..serve.service import EstimatorService, ServedEstimate
+from ..serve.service import EstimatorService, ServedEstimate, screen_answers
 from .admission import AdmissionConfig, AdmissionController, ShardRequest
 from .hashing import HashRing, routing_key
 from .shm import ArenaError, ArenaGeneration, ModelArena
@@ -343,15 +341,10 @@ class Shard:
         if self.fallback_mode:
             batch.fallback = admitted
             return
-        if self.guard is not None:
-            keep = []
-            for i in admitted:
-                verdict = self.guard.ood_verdict(requests[i].query)
-                if verdict is not None and verdict.is_ood:
-                    batch.fallback.append(i)
-                else:
-                    keep.append(i)
-            admitted = keep
+        if self.guard is not None and admitted:
+            flags = self.guard.ood_flags([requests[i].query for i in admitted])
+            batch.fallback.extend(i for i, flag in zip(admitted, flags) if flag)
+            admitted = [i for i, flag in zip(admitted, flags) if not flag]
         if admitted:
             batch.worker = admitted
             root = batch.root
@@ -451,33 +444,32 @@ class Shard:
         """
         num_rows = self.table.num_rows
         latency = seconds / max(len(batch.worker), 1)
+        judged = screen_answers(
+            values,
+            num_rows,
+            [batch.requests[i].query for i in batch.worker],
+            self.guard,
+        )
         bad = 0
-        for i, raw in zip(batch.worker, values):
-            value = float(raw)
-            if math.isfinite(value):
-                outcome = "served"
-                if not is_sane(value, num_rows):
-                    value = clamp_to_bounds(value, num_rows)
-                    outcome = "sanitized"
-                if self.guard is not None:
-                    clamped, reason = self.guard.clamp(
-                        batch.requests[i].query, value
+        for pos, i in enumerate(batch.worker):
+            if judged.finite[pos]:
+                value = float(judged.served[pos])
+                outcome = "served" if judged.sane[pos] else "sanitized"
+                reason = judged.reasons[pos]
+                if reason is not None:
+                    self._obs_registry().counter(
+                        GUARD_CLAMPED,
+                        "Estimates clamped to provable bounds",
+                    ).inc(1, reason=reason)
+                    self._obs_events().emit(
+                        "guard.clamp",
+                        shard=self.name,
+                        tier="worker",
+                        raw=float(judged.sanitized[pos]),
+                        served=value,
+                        reason=reason,
                     )
-                    if reason is not None:
-                        self._obs_registry().counter(
-                            GUARD_CLAMPED,
-                            "Estimates clamped to provable bounds",
-                        ).inc(1, reason=reason)
-                        self._obs_events().emit(
-                            "guard.clamp",
-                            shard=self.name,
-                            tier="worker",
-                            raw=value,
-                            served=clamped,
-                            reason=reason,
-                        )
-                        value = clamped
-                        outcome = "guard-clamped"
+                    outcome = "guard-clamped"
                 batch.results[i] = ServedEstimate(
                     estimate=value,
                     tier="worker",

@@ -136,6 +136,91 @@ class TestUnseededNaru:
         np.testing.assert_allclose(batch, scalar, rtol=RTOL, atol=0.0)
 
 
+class TestDeepDbBinnedColumns:
+    """DeepDB's one-pass batch over binned (fractional-weight) columns."""
+
+    @pytest.fixture(scope="class")
+    def binned_table(self):
+        rng = np.random.default_rng(37)
+        n = 3000
+        data = np.column_stack(
+            [
+                rng.uniform(0.0, 1000.0, n),  # continuous: binned
+                rng.zipf(1.3, n).clip(max=2000).astype(np.float64),  # binned, skewed
+                rng.integers(0, 8, n).astype(np.float64),  # exact
+            ]
+        )
+        data[:, 2] = np.where(data[:, 0] > 500.0, data[:, 2], 0.0)  # correlated
+        return Table("binned", data, ["u", "z", "small"])
+
+    @pytest.fixture(scope="class")
+    def deepdb(self, binned_table):
+        from repro.estimators.learned import DeepDbEstimator
+
+        est = DeepDbEstimator(max_bins=24, min_instance_slice_fraction=0.05)
+        est.fit(binned_table)
+        exact = [c.exact for c in est._disc.columns]
+        assert exact == [False, False, True]
+        return est
+
+    @staticmethod
+    def cases(table, rng) -> list[Query]:
+        u = table.data[:, 0]
+        z = float(table.data[7, 1])
+        queries = list(generate_workload(table, 120, rng).queries)
+        queries += [
+            Query((Predicate(0, float(u[3]), float(u[3])),)),  # equality, binned
+            Query((Predicate(1, z, z), Predicate(2, 1.0, 5.0))),
+            Query((Predicate(0, 123.456, 123.456),)),  # equality off the data
+            Query((Predicate(0, 700.0, 300.0),)),  # empty
+            Query((Predicate(1, 50.0, 2.0), Predicate(0, 10.0, 900.0))),
+            Query((Predicate(0, None, 250.5),)),  # one-sided
+            Query((Predicate(0, 250.5, None), Predicate(1, None, 3.0))),
+            Query((Predicate(2, 3.0, None),)),
+        ]
+        # Column 0 constrained by only some queries of the batch.
+        queries += [
+            Query((Predicate(0, 100.0 * i, 100.0 * i + 75.0),)) if i % 2
+            else Query((Predicate(2, 0.0, float(i % 8)),))
+            for i in range(10)
+        ]
+        return queries
+
+    def assert_batch_equals_scalar(self, est, queries):
+        scalar = np.array([est.estimate(q) for q in queries])
+        for start in range(0, len(queries), 64):
+            batch = est.estimate_many(queries[start : start + 64])
+            assert np.array_equal(batch, scalar[start : start + 64])
+        return scalar
+
+    def test_batch_equals_scalar_before_and_after_update(self, deepdb, binned_table):
+        import copy
+
+        from repro.datasets.updates import apply_update
+
+        est = copy.deepcopy(deepdb)
+        rng = np.random.default_rng(38)
+        queries = self.cases(binned_table, rng)
+        before = self.assert_batch_equals_scalar(est, queries)
+        table = binned_table
+        for _ in range(2):
+            table, appended = apply_update(table, rng, fraction=0.3)
+            est.update(table, appended)
+        after = self.assert_batch_equals_scalar(est, queries)
+        # The update moved leaf and sum counts, not just the row count.
+        assert not np.allclose(after / table.num_rows, before / binned_table.num_rows)
+
+    def test_batch_plan_is_rebuilt_on_load(self, deepdb, binned_table):
+        import pickle
+
+        assert pickle.loads(pickle.dumps(deepdb.__getstate__()))["_plan"] is None
+        loaded = pickle.loads(pickle.dumps(deepdb))
+        queries = self.cases(binned_table, np.random.default_rng(39))
+        assert np.array_equal(
+            loaded.estimate_many(queries), deepdb.estimate_many(queries)
+        )
+
+
 class TestDegenerateTables:
     def test_zero_row_table_rejected(self):
         # A zero-row table cannot exist, so batch equivalence on one is

@@ -84,6 +84,17 @@ class TestColumnBound:
         bound = ColumnBound(np.arange(10.0))
         assert bound.count(5.0, 2.0) == 0
 
+    @pytest.mark.parametrize("max_exact", [4096, 4])
+    def test_nan_bound_counts_zero(self, max_exact):
+        # A NaN bound matches no rows; searchsorted puts it past the end,
+        # which must not turn into a negative count.
+        bound = ColumnBound(np.arange(10.0), max_exact=max_exact, num_buckets=4)
+        nan = float("nan")
+        assert bound.count(nan, 4.0) == 0
+        assert bound.count(2.0, nan) >= 0
+        counts = bound.count_many(np.array([nan, 2.0]), np.array([4.0, nan]))
+        np.testing.assert_array_equal(counts, [0, bound.count(2.0, nan)])
+
     def test_empty_column_rejected(self):
         with pytest.raises(ValueError):
             ColumnBound(np.array([]))
@@ -369,6 +380,21 @@ class TestGuardedService:
         assert ("guard", "ood-reroute") in served[0].attempts
         assert served[0].tier == "fb"
         assert served[1].tier == "learned"
+
+    def test_nan_bound_never_serves_a_negative_estimate(self):
+        from repro.datasets import generate_synthetic
+        from repro.registry import make_fallback_chain
+
+        table = generate_synthetic(
+            2000, skew=1.0, correlation=0.5, domain_size=50,
+            rng=np.random.default_rng(0),
+        )
+        svc = EstimatorService(make_fallback_chain("sampling"), guard=EstimateGuard())
+        svc.fit(table)
+        query = Query((Predicate(0, float("nan"), 10.0),))
+        assert svc.guard.sketch.upper_bound(query) >= table.cardinality(query) == 0
+        for served in (svc.serve(query), svc.serve_batch([query])[0]):
+            assert served.estimate == 0.0
 
     def test_record_actual_labels_ood_exemplars(self, tiny_table):
         svc, _ = self.service(

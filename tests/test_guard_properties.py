@@ -107,3 +107,83 @@ def test_bound_stays_sound_across_repeated_updates():
         sketch.update(table, appended)
     workload = generate_workload(table, 100, rng, CONFIG)
     assert_sound(sketch, table, workload)
+
+
+# ----------------------------------------------------------------------
+# Batch forms equal the scalar forms
+# ----------------------------------------------------------------------
+def edge_bound_queries(table: Table, rng, count: int) -> list:
+    """Queries whose bounds mix None, +-inf, NaN, empty and plain values."""
+    from repro.core import Predicate, Query
+
+    lows = table.data.min(axis=0)
+    highs = table.data.max(axis=0)
+    specials = [None, -np.inf, np.inf, float("nan")]
+    queries = []
+    for _ in range(count):
+        size = rng.integers(1, table.num_columns + 1)
+        cols = rng.choice(table.num_columns, size=size, replace=False)
+        preds = []
+        for c in sorted(cols.tolist()):
+            span = highs[c] - lows[c]
+            a, b = sorted(rng.uniform(lows[c] - 0.2 * span, highs[c] + 0.2 * span, 2))
+            kind = rng.integers(5)
+            if kind == 0:
+                lo, hi = a, b
+            elif kind == 1:
+                lo, hi = b + 1.0, a  # empty
+            elif kind == 2:
+                lo = hi = float(table.data[rng.integers(table.num_rows), c])
+            else:
+                lo = specials[rng.integers(4)] if rng.random() < 0.7 else a
+                hi = specials[rng.integers(4)] if rng.random() < 0.7 else b
+                if lo is None and hi is None:
+                    hi = b
+            preds.append(Predicate(c, lo, hi))
+        queries.append(Query(tuple(preds)))
+    return queries
+
+
+def batch_cases(table: Table, rng) -> list:
+    generated = list(generate_workload(table, 96, rng, CONFIG).queries)
+    return generated + edge_bound_queries(table, rng, 96)
+
+
+def assert_batch_matches_scalar(sketch: BoundSketch, queries) -> None:
+    for start in range(0, len(queries), 64):
+        batch = queries[start : start + 64]
+        scalar = np.array([sketch.upper_bound(q) for q in batch])
+        np.testing.assert_array_equal(sketch.upper_bounds(batch), scalar)
+    assert sketch.upper_bounds([]).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_upper_bounds_batch_equals_scalar(kind):
+    table = TABLES[kind]()
+    sketch = BoundSketch(table, max_exact=64 if kind == "bucket" else 4096)
+    rng = np.random.default_rng(_seed(kind) + 2)
+    assert_batch_matches_scalar(sketch, batch_cases(table, rng))
+    for _ in range(2):
+        table, appended = apply_update(table, rng, fraction=0.2)
+        sketch.update(table, appended)
+        assert_batch_matches_scalar(sketch, batch_cases(table, rng))
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_ood_batch_scores_equal_scalar(kind):
+    from repro.guard import DomainSnapshot, OodDetector
+
+    table = TABLES[kind]()
+    rng = np.random.default_rng(_seed(kind) + 3)
+    training = generate_workload(table, 100, rng)
+    for workload in (training, None):
+        detector = OodDetector(DomainSnapshot.capture(table, workload))
+        queries = batch_cases(table, rng)
+        scalar = [detector.score(q).score for q in queries]
+        batch = detector.scores(queries)
+        np.testing.assert_array_equal(batch, scalar)
+        assert (batch > detector.threshold).tolist() == [
+            detector.is_ood(q) for q in queries
+        ]
+        assert any(batch > detector.threshold) and not all(batch > detector.threshold)
+    assert detector.scores([]).shape == (0,)
