@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.metrics import qerrors
 from ..core.query import Predicate, Query
 from ..core.workload import generate_workload
 from ..fastpath import DistilledStudent, SemanticEstimateCache
@@ -121,12 +122,6 @@ def replay_queries(
     return unique + warm
 
 
-def _qerr_p95(estimates: np.ndarray, actuals: np.ndarray) -> float:
-    est = np.maximum(np.asarray(estimates, dtype=np.float64), 1.0)
-    act = np.maximum(np.asarray(actuals, dtype=np.float64), 1.0)
-    return float(np.percentile(np.maximum(est / act, act / est), 95.0))
-
-
 def _time_tier(serve, queries) -> tuple[np.ndarray, np.ndarray]:
     """Per-query latencies (seconds) and served estimates."""
     latencies = np.empty(len(queries))
@@ -155,7 +150,7 @@ def _tier_profile(
         p50_us=float(np.percentile(latencies, 50.0) * 1e6),
         p99_us=float(np.percentile(latencies, 99.0) * 1e6),
         qps=len(queries) / total if total else 0.0,
-        p95_qerr=_qerr_p95(estimates, actuals),
+        p95_qerr=float(np.percentile(qerrors(estimates, actuals), 95.0)),
         model_size_bytes=size_bytes,
         cache_hit_rate=None if cache is None else cache.hit_rate,
     )

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.metrics import qerror
 from ..core.query import Predicate, Query
 from ..core.workload import generate_workload
 from ..datasets.updates import apply_update
@@ -113,12 +114,6 @@ class GuardBenchResult:
     availability: float
 
 
-def _qerr(estimate: float, actual: float) -> float:
-    est = max(float(estimate), 1.0)
-    act = max(float(actual), 1.0)
-    return max(est / act, act / est)
-
-
 def _ood_queries(table, queries, fraction: float = 1.5) -> list[Query]:
     """Translate every predicate ``fraction`` column-spans upward —
     far enough outside the trained domain that the true cardinality is
@@ -177,7 +172,7 @@ def _replay(
         if feedback:
             service.record_actual(query, served, float(actual), tenant="bench")
         if i >= measure_from:
-            qerrs.append(_qerr(served.estimate, float(actual)))
+            qerrs.append(qerror(served.estimate, float(actual)))
     errs = np.asarray(qerrs)
     return float(errs.max()), float(np.percentile(errs, 95.0)), answered / len(queries)
 

@@ -14,7 +14,9 @@ deliberately passive — the :class:`~repro.serve.EstimatorService` and
   skipped for this query.
 
 Batch callers use ``clamp_many`` and ``is_ood_many``/``ood_flags``, one
-vectorized pass per batch with the same per-query results.
+vectorized pass per batch with the same per-query results.  A batch of
+one (every scalar ``serve``) is answered by the scalar forms instead:
+they give the same bits and skip the vectorized pass's fixed cost.
 
 The guard also relays accuracy feedback to an attached
 :class:`~repro.guard.QuarantineMonitor` (see :meth:`observe_qerror`),
@@ -116,6 +118,9 @@ class EstimateGuard:
         values = np.asarray(values, dtype=np.float64)
         if self.sketch is None:
             return values, [None] * len(values)
+        if len(values) == 1:
+            value, reason = self.clamp(queries[0], float(values[0]))
+            return np.array([value]), [reason]
         upper = self.sketch.upper_bounds(queries)
         lower = self.sketch.lower_bounds(queries)
         above = values > upper
@@ -147,6 +152,8 @@ class EstimateGuard:
         the chain that serves the split)."""
         if self.detector is None:
             return np.zeros(len(queries), dtype=bool)
+        if len(queries) == 1:
+            return np.array([self.detector.is_ood(queries[0])])
         return self.detector.scores(queries) > self.detector.threshold
 
     def is_ood_many(self, queries: Sequence[Query]) -> np.ndarray:

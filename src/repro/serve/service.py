@@ -19,6 +19,12 @@ answer, where a tier's answer is rejected when it
   failure against the tier, reusing the :mod:`repro.rules` bounds
   checks.
 
+:meth:`~EstimatorService.serve` answers an exact cache hit on its own
+fast path and serves a miss as a batch of one, so scalar and batch
+serving share one chain walk; :func:`screen_answers`, which the shard
+tier also applies to worker answers, is the one judgement of a model's
+answer.
+
 Each tier sits behind a :class:`~repro.serve.breaker.CircuitBreaker`, so
 a tier that fails repeatedly is skipped without paying its latency until
 a recovery probe succeeds.  Rule-implied answers (contradictory or
@@ -216,46 +222,101 @@ class _Tier:
         )
 
 
-@dataclass(frozen=True)
-class ScreenedAnswers:
-    """A tier's raw batch answers after sanitizing and the guard clamp."""
+#: the outcomes of :func:`screen_answers` that reject an answer: the
+#: query falls through to the next tier (or the shard's fallback chain)
+REJECTED = frozenset({"nan", "inf"})
 
-    #: False for NaN/inf answers, which are rejected, not served
-    finite: np.ndarray
+#: help text of ``repro_guard_clamped_total`` (see :func:`count_guard_clamp`)
+_GUARD_CLAMPED_HELP = "Estimates pulled into the provable bound interval"
+
+
+def count_guard_clamp(registry: MetricsRegistry, reason: str) -> None:
+    """Count one answer pulled into the guard's provable interval."""
+    registry.counter(GUARD_CLAMPED, _GUARD_CLAMPED_HELP).inc(1, reason=reason)
+
+
+def _outcome(raw: float, sane: bool, reason: str | None) -> str:
+    if math.isnan(raw):
+        return "nan"
+    if math.isinf(raw):
+        return "inf"
+    if reason is not None:
+        return "guard-clamped"
+    return "served" if sane else "sanitized"
+
+
+@dataclass  # not frozen: that __init__ costs ~2 µs on every serve miss
+class ScreenedAnswers:
+    """A tier's raw answers after sanitizing and the guard clamp."""
+
+    #: the answers as the tier gave them
+    raw: np.ndarray
     #: True where the raw answer already lay in ``[0, num_rows]``
     sane: np.ndarray
-    #: raw answers clipped into ``[0, num_rows]``
+    #: raw answers clipped into ``[0, num_rows]`` (NaN where rejected)
     sanitized: np.ndarray
     #: sanitized answers clamped into the guard's provable interval
     served: np.ndarray
     #: the guard's violation reason per answer, or None
     reasons: list[str | None]
+    #: per answer, in the ``attempts`` vocabulary: "served", "sanitized",
+    #: "guard-clamped", or one of the :data:`REJECTED` "nan" / "inf"
+    outcomes: list[str]
+
+    def report(
+        self, pos: int, events: EventLog, registry: MetricsRegistry, **fields
+    ) -> None:
+        """Emit the telemetry answer ``pos`` owes: a ``serve.sanitized``
+        event when its raw value left ``[0, num_rows]``, and for a guard
+        clamp the ``repro_guard_clamped_total{reason}`` count plus a
+        ``guard.clamp`` event.  Both events carry the raw answer and
+        ``fields`` (the tier, and the shard on the worker path)."""
+        raw = float(self.raw[pos])
+        if not self.sane[pos]:
+            events.emit(
+                "serve.sanitized",
+                raw=raw,
+                served=float(self.sanitized[pos]),
+                **fields,
+            )
+        reason = self.reasons[pos]
+        if reason is not None:
+            count_guard_clamp(registry, reason)
+            events.emit(
+                "guard.clamp",
+                raw=raw,
+                served=float(self.served[pos]),
+                reason=reason,
+                **fields,
+            )
 
 
 def screen_answers(
     raw: np.ndarray, num_rows: int, queries: Sequence[Query], guard=None
 ) -> ScreenedAnswers:
-    """The batch judgement arithmetic shared by ``serve_batch`` and the
-    shard tier: one vectorized sanitize and one guard clamp pass over
-    the finite answers.  Callers keep the per-query bookkeeping."""
+    """The one judgement of model answers, shared by the service's chain
+    walk and the shard's worker path: NaN/inf answers are rejected,
+    finite ones are clipped into ``[0, num_rows]`` and then pulled into
+    the guard's provable interval, one vectorized pass per batch.
+    Callers branch on ``outcomes`` and report through
+    :meth:`ScreenedAnswers.report`."""
     raw = np.asarray(raw, dtype=np.float64)
-    finite = np.isfinite(raw)
-    sanitized = np.clip(raw, 0.0, float(num_rows))
-    served = sanitized.copy()
-    reasons: list[str | None] = [None] * len(raw)
-    if guard is not None and finite.any():
-        ok = np.flatnonzero(finite)
-        served[ok], clamped = guard.clamp_many(
-            [queries[pos] for pos in ok], sanitized[ok]
-        )
-        for pos, reason in zip(ok.tolist(), clamped):
-            reasons[pos] = reason
+    sanitized = np.minimum(np.maximum(raw, 0.0), float(num_rows))
+    # Rejected answers sanitize to NaN (a NaN raw answer already is):
+    # no bound comparison holds on NaN, so the guard passes them through
+    # unclamped and uncounted.
+    sanitized[np.isinf(raw)] = np.nan
+    sane = sanitized == raw
+    served, reasons = sanitized, [None] * len(raw)
+    if guard is not None:
+        served, reasons = guard.clamp_many(queries, sanitized)
     return ScreenedAnswers(
-        finite=finite,
-        sane=(raw >= 0.0) & (raw <= num_rows),
+        raw=raw,
+        sane=sane,
         sanitized=sanitized,
         served=served,
         reasons=reasons,
+        outcomes=list(map(_outcome, raw.tolist(), sane.tolist(), reasons)),
     )
 
 
@@ -382,7 +443,11 @@ class EstimatorService(CardinalityEstimator):
     # Serving
     # ------------------------------------------------------------------
     def serve(self, query: Query) -> ServedEstimate:
-        """Answer one query through the chain; never raises, never NaN."""
+        """Answer one query through the chain; never raises, never NaN.
+
+        A cache miss is served as a batch of one: the chain walk and the
+        answer judgement are :meth:`serve_batch`'s.
+        """
         # Raw-speed path: with no span collection active (neither a
         # service-local collector nor the process-wide one) the span
         # machinery can only ever yield None, so skip it entirely.  A
@@ -392,14 +457,12 @@ class EstimatorService(CardinalityEstimator):
         if self._collector is None and get_collector() is None:
             served = self._cached_answer(query)
             if served is None:
-                served = self._serve_inner(query)
-                self._cache_result(query, served)
+                served = self._serve_batch_inner([query])[0]
             return served
         with span("serve", collector=self._collector, service=self.name) as root:
             served = self._cached_answer(query)
             if served is None:
-                served = self._serve_inner(query)
-                self._cache_result(query, served)
+                served = self._serve_batch_inner([query])[0]
             if root is not None:
                 root.attrs["tier"] = served.tier
                 root.attrs["degraded"] = served.degraded
@@ -437,143 +500,6 @@ class EstimatorService(CardinalityEstimator):
             "trace_id": None,
         })
         return served
-
-    def _cache_result(self, query: Query, served: ServedEstimate) -> None:
-        # Last-resort answers reflect a transient outage, not the model;
-        # caching them would pin the emergency constant past recovery.
-        if self.cache is not None and served.tier != "last-resort":
-            self.cache.put(query, served.estimate)
-
-    def _serve_inner(self, query: Query) -> ServedEstimate:
-        table = self.table
-        start = self._clock()
-        self._queries += 1
-
-        trivial = trivial_answer(query, table)
-        if trivial is not None:
-            self._shortcuts += 1
-            self._count_request("shortcut")
-            return ServedEstimate(
-                estimate=trivial,
-                tier="shortcut",
-                tier_index=-1,
-                degraded=False,
-                latency_seconds=self._clock() - start,
-                attempts=(("shortcut", "served"),),
-            )
-
-        attempts: list[tuple[str, str]] = []
-        # OOD queries skip the learned primary: the model never saw this
-        # region of the query space, so a tier with bounded-by-design
-        # error answers instead (unless the primary is the only tier).
-        skip_primary = (
-            self.guard is not None
-            and len(self._tiers) > 1
-            and self.guard.is_ood(query)
-        )
-        if skip_primary:
-            attempts.append(("guard", "ood-reroute"))
-            self._count_guard_ood()
-            self._obs_events().emit("guard.ood", service=self.name)
-        last = len(self._tiers) - 1
-        for index, tier in enumerate(self._tiers):
-            if index == 0 and skip_primary:
-                self._attempt_outcome(tier, attempts, "skipped-ood")
-                continue
-            if not tier.breaker.allows_request():
-                tier.stats.skipped_open += 1
-                self._attempt_outcome(tier, attempts, "skipped-open")
-                continue
-            # The final tier is the designated cheap answer-of-last-model
-            # and is exempt from the deadline: an aborted primary must
-            # still degrade to *some* tier's estimate.
-            if index < last and self._budget_spent(start):
-                tier.stats.skipped_deadline += 1
-                self._attempt_outcome(tier, attempts, "skipped-deadline")
-                continue
-
-            tier.stats.attempts += 1
-            with span(
-                "serve.tier", collector=self._collector, tier=tier.name
-            ) as attempt_span:
-                call_start = self._clock()
-                try:
-                    raw = float(tier.estimator.estimate(query))
-                    failed = False
-                except Exception:
-                    self._record_failure(tier, "exception", call_start)
-                    failed = True
-                if failed:
-                    self._attempt_outcome(tier, attempts, "exception", attempt_span)
-                    continue
-                self._record_latency(tier, self._clock() - call_start)
-
-                if index < last and self._budget_spent(start):
-                    # The answer arrived, but too late to be useful: the
-                    # optimizer has moved on.  Discard and penalise the tier.
-                    tier.stats.failures["timeout"] += 1
-                    tier.breaker.record_failure()
-                    self._attempt_outcome(tier, attempts, "timeout", attempt_span)
-                    continue
-                if math.isnan(raw):
-                    self._record_failure(tier, "nan", None)
-                    self._attempt_outcome(tier, attempts, "nan", attempt_span)
-                    self._obs_events().emit("serve.nan", tier=tier.name)
-                    continue
-                if math.isinf(raw):
-                    self._record_failure(tier, "inf", None)
-                    self._attempt_outcome(tier, attempts, "inf", attempt_span)
-                    self._obs_events().emit("serve.nan", tier=tier.name, infinite=True)
-                    continue
-
-                if 0.0 <= raw <= table.num_rows:
-                    value, outcome = raw, "served"
-                else:
-                    # Finite but illogical: serve the clamped value, count
-                    # the incident against the tier's breaker.
-                    value, outcome = clamp_to_bounds(raw, table.num_rows), "sanitized"
-                    tier.stats.sanitized += 1
-                    self._obs_events().emit(
-                        "serve.sanitized", tier=tier.name, raw=raw, served=value
-                    )
-                value, outcome = self._guard_clamp(
-                    tier, query, raw, value, outcome
-                )
-                if outcome == "served":
-                    tier.breaker.record_success()
-                else:
-                    tier.breaker.record_failure()
-                tier.stats.served += 1
-                if index > 0:
-                    self._degraded += 1
-                    self._obs_events().emit(
-                        "serve.fallback", tier=tier.name, tier_index=index
-                    )
-                self._attempt_outcome(tier, attempts, outcome, attempt_span)
-            self._count_request("primary" if index == 0 else "fallback")
-            return ServedEstimate(
-                estimate=value,
-                tier=tier.name,
-                tier_index=index,
-                degraded=index > 0,
-                latency_seconds=self._clock() - start,
-                attempts=tuple(attempts),
-            )
-
-        # Every tier skipped or failed: the in-service emergency answer.
-        self._last_resort += 1
-        self._degraded += 1
-        attempts.append(("last-resort", "served"))
-        self._count_request("last-resort")
-        self._obs_events().emit("serve.last_resort", service=self.name)
-        return ServedEstimate(
-            estimate=self._last_resort_value(query, table),
-            tier="last-resort",
-            tier_index=len(self._tiers),
-            degraded=True,
-            latency_seconds=self._clock() - start,
-            attempts=tuple(attempts),
-        )
 
     def serve_many(self, queries: Sequence[Query]) -> list[ServedEstimate]:
         """Serve a batch, one by one (the harness replay path)."""
@@ -631,16 +557,9 @@ class EstimatorService(CardinalityEstimator):
     def serve_batch(self, queries: Sequence[Query]) -> list[ServedEstimate]:
         """Serve a batch through each tier's batched hot path.
 
-        The whole batch walks the chain together: every still-unanswered
-        query goes to the current tier in one ``estimate_many`` call, the
-        per-query outcomes are judged exactly like the scalar path (NaN /
-        inf / out-of-bounds), and only the rejected queries fall through
-        to the next tier.  A tier call that raises fails the whole
-        sub-batch on that tier.  Per-tier latency samples are amortised
-        (call wall-clock divided by sub-batch size) so attempt counts and
-        latency-sample counts stay one-to-one, the invariant the health
-        window and the exported histogram share with the scalar path.
-        Never raises; every query gets an answer.
+        Each query first probes the cache; the misses walk the chain
+        together (see :meth:`_serve_batch_inner`).  Never raises; every
+        query gets an answer.
         """
         queries = list(queries)
         with span(
@@ -649,64 +568,75 @@ class EstimatorService(CardinalityEstimator):
             service=self.name,
             batch=len(queries),
         ) as root:
-            results = self._serve_batch_inner(queries)
+            results = [self._cached_answer(query) for query in queries]
+            misses = [i for i, served in enumerate(results) if served is None]
+            walked = self._serve_batch_inner([queries[i] for i in misses])
+            for i, served in zip(misses, walked):
+                results[i] = served
             if root is not None:
                 results = [replace(s, trace_id=root.trace_id) for s in results]
-            return results
+            return results  # type: ignore[return-value]
 
     def _serve_batch_inner(self, queries: list[Query]) -> list[ServedEstimate]:
+        """The chain walk, for queries the cache did not answer.
+
+        :meth:`serve` walks a batch of one, :meth:`serve_batch` its
+        misses.  Every still-unanswered query goes to the current tier
+        in one ``estimate_many`` call, :func:`screen_answers` judges the
+        answers (NaN / inf / out-of-bounds / guard bound), and only the
+        rejected queries fall through to the next tier.  A tier call
+        that raises fails the whole sub-batch on that tier.  Per-tier
+        latency samples are amortised (call wall-clock divided by
+        sub-batch size) so attempt counts and latency-sample counts stay
+        one-to-one, the invariant the health window and the exported
+        histogram share.
+        """
         table = self.table
         start = self._clock()
-        n = len(queries)
-        results: list[ServedEstimate | None] = [None] * n
-        attempts: list[list[tuple[str, str]]] = [[] for _ in range(n)]
+        self._queries += len(queries)
+        results: list[ServedEstimate | None] = [None] * len(queries)
+        attempts: list[list[tuple[str, str]]] = [[] for _ in queries]
         pending: list[int] = []
-
         for i, query in enumerate(queries):
-            cached = self._cached_answer(query)
-            if cached is not None:
-                results[i] = cached
-                continue
-            self._queries += 1
             trivial = trivial_answer(query, table)
-            if trivial is not None:
-                self._shortcuts += 1
-                self._count_request("shortcut")
-                results[i] = ServedEstimate(
-                    estimate=trivial,
-                    tier="shortcut",
-                    tier_index=-1,
-                    degraded=False,
-                    latency_seconds=self._clock() - start,
-                    attempts=(("shortcut", "served"),),
-                )
+            if trivial is None:
+                pending.append(i)
                 continue
-            pending.append(i)
+            self._shortcuts += 1
+            self._count_request("shortcut")
+            results[i] = ServedEstimate(
+                estimate=trivial,
+                tier="shortcut",
+                tier_index=-1,
+                degraded=False,
+                latency_seconds=self._clock() - start,
+                attempts=(("shortcut", "served"),),
+            )
 
-        # Per-query OOD verdicts: flagged queries are pulled out of the
-        # tier-0 sub-batch and rejoin the walk at tier 1, so the learned
-        # primary never sees them (mirrors the scalar path's skip).
+        # OOD queries skip the learned primary: the model never saw this
+        # region of the query space, so a tier with bounded-by-design
+        # error answers instead (unless the primary is the only tier).
+        # Flagged queries are pulled out of the tier-0 sub-batch and
+        # rejoin the walk at tier 1.
+        events = self._obs_events()
         ood_carry: list[int] = []
         if self.guard is not None and len(self._tiers) > 1 and pending:
-            flags = self.guard.is_ood_many([queries[i] for i in pending])
+            flags = self.guard.is_ood_many([queries[i] for i in pending]).tolist()
             ood_carry = [i for i, flag in zip(pending, flags) if flag]
             for i in ood_carry:
                 attempts[i].append(("guard", "ood-reroute"))
                 self._count_guard_ood()
-                self._obs_events().emit("guard.ood", service=self.name)
+                events.emit("guard.ood", service=self.name)
+                self._attempt_outcome(self._tiers[0], attempts[i], "skipped-ood")
             if ood_carry:
                 pending = [i for i, flag in zip(pending, flags) if not flag]
 
         last = len(self._tiers) - 1
         for index, tier in enumerate(self._tiers):
-            if index == 0 and ood_carry:
-                for i in ood_carry:
-                    self._attempt_outcome(tier, attempts[i], "skipped-ood")
-            if index == 1 and ood_carry:
-                pending = pending + ood_carry
-                ood_carry = []
+            if index == 1:
+                pending += ood_carry
             if not pending:
-                if ood_carry:
+                if index == 0:
                     continue  # rerouted queries rejoin at tier 1
                 break
             if not tier.breaker.allows_request():
@@ -714,6 +644,9 @@ class EstimatorService(CardinalityEstimator):
                 for i in pending:
                     self._attempt_outcome(tier, attempts[i], "skipped-open")
                 continue
+            # The final tier is the designated cheap answer-of-last-model
+            # and is exempt from the deadline: an aborted primary must
+            # still degrade to *some* tier's estimate.
             if index < last and self._budget_spent(start):
                 tier.stats.skipped_deadline += len(pending)
                 for i in pending:
@@ -735,8 +668,8 @@ class EstimatorService(CardinalityEstimator):
                     )
                     failed = raw.shape != (len(sub),)
                 except Exception as exc:
-                    self._obs_events().emit(
-                        "serve.batch_tier_error",
+                    events.emit(
+                        "serve.tier_error",
                         tier=tier.name,
                         batch=len(sub),
                         error=f"{type(exc).__name__}: {exc}",
@@ -745,74 +678,53 @@ class EstimatorService(CardinalityEstimator):
                 per_query = (self._clock() - call_start) / len(pending)
                 for _ in pending:
                     self._record_latency(tier, per_query)
-                if failed:
+                # Answers that arrive too late are useless too: the
+                # optimizer has moved on.  Discard and penalise the tier.
+                if failed or (index < last and self._budget_spent(start)):
+                    outcome = "exception" if failed else "timeout"
                     for i in pending:
-                        tier.stats.failures["exception"] += 1
-                        tier.breaker.record_failure()
-                        self._attempt_outcome(
-                            tier, attempts[i], "exception", attempt_span
-                        )
-                    continue
-                if index < last and self._budget_spent(start):
-                    # Answers arrived too late to be useful — same
-                    # discard-and-penalise as the scalar path.
-                    for i in pending:
-                        tier.stats.failures["timeout"] += 1
-                        tier.breaker.record_failure()
-                        self._attempt_outcome(
-                            tier, attempts[i], "timeout", attempt_span
-                        )
+                        self._record_failure(tier, outcome)
+                        self._attempt_outcome(tier, attempts[i], outcome, attempt_span)
                     continue
 
-                # The loop keeps the per-query bookkeeping in the scalar
-                # path's order; the arithmetic ran once for the sub-batch.
                 judged = screen_answers(raw, table.num_rows, sub, self.guard)
                 still: list[int] = []
                 for pos, i in enumerate(pending):
-                    value = float(raw[pos])
-                    if math.isnan(value):
-                        self._record_failure(tier, "nan", None)
-                        self._attempt_outcome(tier, attempts[i], "nan", attempt_span)
-                        self._obs_events().emit("serve.nan", tier=tier.name)
-                        still.append(i)
-                        continue
-                    if math.isinf(value):
-                        self._record_failure(tier, "inf", None)
-                        self._attempt_outcome(tier, attempts[i], "inf", attempt_span)
-                        self._obs_events().emit(
-                            "serve.nan", tier=tier.name, infinite=True
+                    outcome = judged.outcomes[pos]
+                    if outcome in REJECTED:
+                        self._record_failure(tier, outcome)
+                        self._attempt_outcome(tier, attempts[i], outcome, attempt_span)
+                        events.emit(
+                            "serve.nan", tier=tier.name, infinite=outcome == "inf"
                         )
                         still.append(i)
                         continue
-                    value = float(judged.served[pos])
-                    outcome = "served"
-                    if not judged.sane[pos]:
-                        outcome = "sanitized"
-                        tier.stats.sanitized += 1
-                        self._obs_events().emit(
-                            "serve.sanitized",
-                            tier=tier.name,
-                            raw=float(raw[pos]),
-                            served=float(judged.sanitized[pos]),
-                        )
-                    reason = judged.reasons[pos]
-                    if reason is not None:
-                        outcome = self._note_guard_clamp(
-                            tier, float(raw[pos]), value, reason
-                        )
                     if outcome == "served":
                         tier.breaker.record_success()
                     else:
+                        # Finite but illogical, or past a provable bound:
+                        # served clamped, counted against the tier.
+                        if not judged.sane[pos]:
+                            tier.stats.sanitized += 1
+                        if judged.reasons[pos] is not None:
+                            tier.stats.guard_clamped += 1
+                        judged.report(pos, events, self._obs_registry(), tier=tier.name)
                         tier.breaker.record_failure()
                     tier.stats.served += 1
                     if index > 0:
                         self._degraded += 1
-                        self._obs_events().emit(
+                        events.emit(
                             "serve.fallback", tier=tier.name, tier_index=index
                         )
                     self._attempt_outcome(tier, attempts[i], outcome, attempt_span)
                     self._count_request("primary" if index == 0 else "fallback")
-                    served = ServedEstimate(
+                    value = float(judged.served[pos])
+                    # Only chain answers are cached: a shortcut is cheaper
+                    # than a probe, and a last-resort answer reflects a
+                    # transient outage, not the model.
+                    if self.cache is not None:
+                        self.cache.put(queries[i], value)
+                    results[i] = ServedEstimate(
                         estimate=value,
                         tier=tier.name,
                         tier_index=index,
@@ -820,8 +732,6 @@ class EstimatorService(CardinalityEstimator):
                         latency_seconds=self._clock() - start,
                         attempts=tuple(attempts[i]),
                     )
-                    self._cache_result(queries[i], served)
-                    results[i] = served
                 pending = still
 
         for i in pending:
@@ -830,10 +740,9 @@ class EstimatorService(CardinalityEstimator):
             self._degraded += 1
             attempts[i].append(("last-resort", "served"))
             self._count_request("last-resort")
-            self._obs_events().emit("serve.last_resort", service=self.name)
-            query = queries[i]
+            events.emit("serve.last_resort", service=self.name)
             results[i] = ServedEstimate(
-                estimate=self._last_resort_value(query, table),
+                estimate=self._last_resort_value(queries[i], table),
                 tier="last-resort",
                 tier_index=len(self._tiers),
                 degraded=True,
@@ -937,39 +846,6 @@ class EstimatorService(CardinalityEstimator):
     def _budget_spent(self, start: float) -> bool:
         return self._deadline is not None and self._clock() - start > self._deadline
 
-    def _guard_clamp(
-        self, tier: _Tier, query: Query, raw: float, value: float, outcome: str
-    ) -> tuple[float, str]:
-        """Pull an accepted answer into the provable bound interval.
-
-        A violation is counted against the tier (``guard_clamped`` stat,
-        ``repro_guard_clamped_total{reason}`` metric, ``guard.clamp``
-        event) and reported as the ``"guard-clamped"`` outcome, which
-        the caller records as a breaker failure: an estimate that broke
-        a provable bound is model misbehaviour, not noise.
-        """
-        if self.guard is None:
-            return value, outcome
-        value, reason = self.guard.clamp(query, value)
-        if reason is not None:
-            outcome = self._note_guard_clamp(tier, raw, value, reason)
-        return value, outcome
-
-    def _note_guard_clamp(
-        self, tier: _Tier, raw: float, served: float, reason: str
-    ) -> str:
-        """Count one guard clamp against ``tier``; returns its outcome."""
-        tier.stats.guard_clamped += 1
-        self._count_guard_clamp(reason)
-        self._obs_events().emit(
-            "guard.clamp",
-            tier=tier.name,
-            raw=raw,
-            served=served,
-            reason=reason,
-        )
-        return "guard-clamped"
-
     def _last_resort_value(self, query: Query, table: Table) -> float:
         """The emergency answer, clamped into every bound we can prove."""
         if any(p.is_empty for p in query.predicates):
@@ -981,15 +857,8 @@ class EstimatorService(CardinalityEstimator):
         if self.guard is not None:
             value, reason = self.guard.clamp(query, value)
             if reason is not None:
-                self._count_guard_clamp(reason)
+                count_guard_clamp(self._obs_registry(), reason)
         return value
-
-    def _count_guard_clamp(self, reason: str) -> None:
-        self._bound_counter(
-            GUARD_CLAMPED,
-            "Estimates pulled into the provable bound interval",
-            reason=reason,
-        ).inc()
 
     def _count_guard_ood(self) -> None:
         self._bound_counter(
@@ -998,11 +867,7 @@ class EstimatorService(CardinalityEstimator):
             action="reroute",
         ).inc()
 
-    def _record_failure(
-        self, tier: _Tier, kind: str, call_start: float | None
-    ) -> None:
-        if call_start is not None:
-            self._record_latency(tier, self._clock() - call_start)
+    def _record_failure(self, tier: _Tier, kind: str) -> None:
         tier.stats.failures[kind] += 1
         tier.breaker.record_failure()
 

@@ -51,7 +51,6 @@ from ..lifecycle.gate import GateReport, PromotionGate
 from ..lifecycle.retrain import RetryPolicy
 from ..obs import (
     FASTPATH_SEMANTIC,
-    GUARD_CLAMPED,
     SHARD_REQUESTS,
     SHARD_SWAPS,
     EventLog,
@@ -69,7 +68,12 @@ from ..obs import (
     start_span,
 )
 from ..serve.heuristic import HeuristicConstantEstimator
-from ..serve.service import EstimatorService, ServedEstimate, screen_answers
+from ..serve.service import (
+    REJECTED,
+    EstimatorService,
+    ServedEstimate,
+    screen_answers,
+)
 from .admission import AdmissionConfig, AdmissionController, ShardRequest
 from .hashing import HashRing, routing_key
 from .shm import ArenaError, ArenaGeneration, ModelArena
@@ -432,58 +436,39 @@ class Shard:
     def _validate_worker_values(
         self, batch: ShardBatch, values: np.ndarray, seconds: float
     ) -> None:
-        """Accept sane worker answers; queue the rest for the fallback.
-
-        Finite but out-of-bounds values are clamped exactly like the
-        serving chain's "sanitized" outcome (raw model estimates may
-        legitimately overshoot the row count by a little), then pulled
-        into the guard's provable per-query interval when a guard is
-        installed.  NaN/inf — the signature of a corrupted worker model
-        — sends those queries to the parent's clean fallback chain
-        instead of surfacing garbage to the optimizer.
-        """
-        num_rows = self.table.num_rows
+        """Judge worker answers exactly like the serving chain does
+        (:func:`~repro.serve.service.screen_answers`): finite answers are
+        served, sanitized into ``[0, num_rows]`` and guard-clamped as
+        needed; NaN/inf — the signature of a corrupted worker model —
+        sends those queries to the parent's clean fallback chain."""
         latency = seconds / max(len(batch.worker), 1)
         judged = screen_answers(
             values,
-            num_rows,
+            self.table.num_rows,
             [batch.requests[i].query for i in batch.worker],
             self.guard,
         )
+        events, registry = self._obs_events(), self._obs_registry()
         bad = 0
         for pos, i in enumerate(batch.worker):
-            if judged.finite[pos]:
-                value = float(judged.served[pos])
-                outcome = "served" if judged.sane[pos] else "sanitized"
-                reason = judged.reasons[pos]
-                if reason is not None:
-                    self._obs_registry().counter(
-                        GUARD_CLAMPED,
-                        "Estimates clamped to provable bounds",
-                    ).inc(1, reason=reason)
-                    self._obs_events().emit(
-                        "guard.clamp",
-                        shard=self.name,
-                        tier="worker",
-                        raw=float(judged.sanitized[pos]),
-                        served=value,
-                        reason=reason,
-                    )
-                    outcome = "guard-clamped"
-                batch.results[i] = ServedEstimate(
-                    estimate=value,
-                    tier="worker",
-                    tier_index=0,
-                    degraded=False,
-                    latency_seconds=latency,
-                    attempts=(("worker", outcome),),
-                    trace_id=batch.trace_id,
-                )
-            else:
+            outcome = judged.outcomes[pos]
+            if outcome in REJECTED:
                 batch.fallback.append(i)
                 bad += 1
+                continue
+            if outcome != "served":
+                judged.report(pos, events, registry, shard=self.name, tier="worker")
+            batch.results[i] = ServedEstimate(
+                estimate=float(judged.served[pos]),
+                tier="worker",
+                tier_index=0,
+                degraded=False,
+                latency_seconds=latency,
+                attempts=(("worker", outcome),),
+                trace_id=batch.trace_id,
+            )
         if bad:
-            self._obs_events().emit(
+            events.emit(
                 "shard.worker_invalid",
                 shard=self.name,
                 batch=len(batch.worker),

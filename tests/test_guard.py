@@ -602,6 +602,26 @@ class TestGuardedShard:
         registry = obs.get_registry()
         assert registry.counter(GUARD_CLAMPED).value(reason="above-upper") == 1.0
 
+    def test_worker_clamp_events_carry_the_raw_answer(self, tiny_table):
+        guard = EstimateGuard(ood_enabled=False)
+        guard.fit(tiny_table)
+        worker = StubEstimator(1e9, name="wild-worker")
+        worker.fit(tiny_table)
+        query = Query((Predicate(0, 1.0, 1.0),))  # provable upper bound 2
+        with self.router(tiny_table, worker, guard) as router:
+            served = router.serve_batch([ShardRequest(query=query)])
+        assert served[0].estimate == 2.0
+        assert served[0].attempts == (("worker", "guard-clamped"),)
+        events = obs.get_events()
+        [clamp] = events.events("guard.clamp", tier="worker")
+        assert clamp.get("raw") == 1e9
+        assert clamp.get("served") == 2.0
+        # The worker's answer also overshot the table, as the service
+        # path reports: one serve.sanitized event with the raw value.
+        [sanitized] = events.events("serve.sanitized", tier="worker")
+        assert sanitized.get("raw") == 1e9
+        assert sanitized.get("served") == tiny_table.num_rows
+
     def test_ood_queries_split_to_fallback_chain(self, tiny_table):
         guard = EstimateGuard()
         guard.fit(tiny_table)

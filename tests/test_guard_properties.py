@@ -150,10 +150,12 @@ def batch_cases(table: Table, rng) -> list:
 
 
 def assert_batch_matches_scalar(sketch: BoundSketch, queries) -> None:
-    for start in range(0, len(queries), 64):
-        batch = queries[start : start + 64]
-        scalar = np.array([sketch.upper_bound(q) for q in batch])
-        np.testing.assert_array_equal(sketch.upper_bounds(batch), scalar)
+    # Size 1 too: a scalar serve is a batch of one.
+    for size in (64, 1):
+        for start in range(0, len(queries), size):
+            batch = queries[start : start + size]
+            scalar = np.array([sketch.upper_bound(q) for q in batch])
+            np.testing.assert_array_equal(sketch.upper_bounds(batch), scalar)
     assert sketch.upper_bounds([]).shape == (0,)
 
 
@@ -182,6 +184,9 @@ def test_ood_batch_scores_equal_scalar(kind):
         scalar = [detector.score(q).score for q in queries]
         batch = detector.scores(queries)
         np.testing.assert_array_equal(batch, scalar)
+        # Size-1 batches too: a scalar serve is a batch of one.
+        singles = np.concatenate([detector.scores([q]) for q in queries])
+        np.testing.assert_array_equal(singles, scalar)
         assert (batch > detector.threshold).tolist() == [
             detector.is_ood(q) for q in queries
         ]

@@ -35,8 +35,8 @@ Seven rules, enforced by walking every module's AST:
    unclamped model garbage leaks to a caller: every model output in
    the serving layers must pass through a function whose name marks it
    as a judging site (``*sanit*``, ``*guard*``, ``*clamp*``,
-   ``*validate*``, the ``_serve_inner``/``_serve_batch_inner`` chain
-   walkers, or the ``*last_resort*`` floor).
+   ``*validate*``, the ``_serve_batch_inner`` chain walker, or the
+   ``*last_resort*`` floor).
 7. **No non-control payloads over shard pipes** — modules under
    ``src/repro/shard`` must not call ``.send(...)``: bulk data crosses
    the process boundary through the shared-memory ring framed by
@@ -88,7 +88,6 @@ SANCTIONED_FRAGMENTS = (
     "guard",
     "clamp",
     "validate",
-    "serve_inner",
     "serve_batch_inner",
     "last_resort",
 )

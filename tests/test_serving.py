@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CardinalityEstimator, Predicate, Query
 from repro.faults import ExceptionFault, LatencyFault, NaNFault
+from repro.guard import EstimateGuard
 from repro.registry import (
     DEFAULT_FALLBACK_NAMES,
     make_estimator,
@@ -41,10 +42,6 @@ class RawStub(StubEstimator):
 
     def estimate(self, query) -> float:
         return self.value
-
-
-class RawBatchStub(RawStub):
-    """Unclamped on the batch path too."""
 
     def estimate_many(self, queries) -> np.ndarray:
         return np.full(len(queries), self.value, dtype=np.float64)
@@ -535,6 +532,73 @@ class TestServeBatch:
         assert [s.estimate for s in batch] == [s.estimate for s in scalar]
         assert [s.tier for s in batch] == [s.tier for s in scalar]
 
+    @pytest.mark.parametrize("cache", [None, 64])
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            lambda: [NaNFault(StubEstimator(4.0)), StubEstimator(9.0, name="b")],
+            lambda: [ExceptionFault(StubEstimator(4.0)), StubEstimator(9.0, name="b")],
+            lambda: [StubEstimator(np.inf, name="inf"), StubEstimator(9.0, name="b")],
+            lambda: [RawStub(-5.0, name="neg"), StubEstimator(9.0, name="b")],
+            lambda: [StubEstimator(10.0, name="wild"), HeuristicConstantEstimator()],
+            lambda: [NaNFault(StubEstimator(4.0))],
+        ],
+        ids=["nan", "exception", "inf", "negative", "clamped", "last-resort"],
+    )
+    def test_scalar_serve_equals_batch(self, tiny_table, chain, cache):
+        """``serve`` one query at a time and ``serve_batch`` answer alike:
+        same estimates, tiers, attempts and health counters, with a
+        guard, through faults, with and without a cache."""
+        queries = distinct_queries(6) + [
+            Query((Predicate(0, 1.0, 1.0),)),  # provable upper bound 2
+            Query((Predicate(0, 50.0, 60.0),)),  # out of distribution
+            Query((Predicate(0, 3.0, 1.0),)),  # empty: rule shortcut
+        ]
+
+        def service():
+            guard = EstimateGuard()
+            svc = EstimatorService(
+                chain(),
+                guard=guard,
+                cache=cache,
+                deadline_ms=None,
+                breaker=BreakerConfig(failure_threshold=1000),
+            )
+            svc.fit(tiny_table)
+            return svc
+
+        def counters(svc):
+            health = svc.health()
+            return (
+                health.queries,
+                health.degraded,
+                health.shortcuts,
+                health.last_resort,
+                [
+                    (t.tier, t.state, t.attempts, t.served, t.sanitized,
+                     t.failures, t.skipped_open, t.guard_clamped)
+                    for t in health.tiers
+                ],
+            )
+
+        scalar_svc, batch_svc = service(), service()
+        passes = []
+        for _ in range(2):  # the second pass reads the cache, when on
+            scalar = [scalar_svc.serve(q) for q in queries]
+            batch = batch_svc.serve_batch(queries)
+            assert [s.estimate for s in scalar] == [s.estimate for s in batch]
+            assert [s.tier for s in scalar] == [s.tier for s in batch]
+            assert [s.attempts for s in scalar] == [s.attempts for s in batch]
+            assert counters(scalar_svc) == counters(batch_svc)
+            passes.append(scalar)
+        if len(scalar_svc.tier_names) > 1:
+            assert ("guard", "ood-reroute") in passes[0][-2].attempts
+        if cache is not None:
+            # Chain answers are cached; shortcuts and last resorts are not.
+            assert [s.tier == "cache" for s in passes[1]] == [
+                s.tier not in ("shortcut", "last-resort") for s in passes[0]
+            ]
+
     def test_nan_primary_falls_back_whole_batch(self, tiny_table):
         primary = NaNFault(StubEstimator(4.0), probability=1.0, seed=3)
         svc = self.service([primary, StubEstimator(9.0, name="backup")], tiny_table)
@@ -584,7 +648,7 @@ class TestServeBatch:
     def test_batch_sanitizes_over_table_estimates(self, tiny_table):
         # Regression: a finite answer above num_rows must be clamped to
         # num_rows on the batch path, exactly like the scalar path.
-        wild = RawBatchStub(10 * tiny_table.num_rows, name="wild")
+        wild = RawStub(10 * tiny_table.num_rows, name="wild")
         svc = self.service([wild], tiny_table)
         served = svc.serve_batch(distinct_queries(4))
         assert [s.estimate for s in served] == [tiny_table.num_rows] * 4
@@ -592,7 +656,7 @@ class TestServeBatch:
         assert svc.health().tiers[0].sanitized == 4
 
     def test_batch_sanitizes_negative_estimates(self, tiny_table):
-        wild = RawBatchStub(-50.0, name="neg")
+        wild = RawStub(-50.0, name="neg")
         svc = self.service([wild], tiny_table)
         served = svc.serve_batch(distinct_queries(4))
         assert [s.estimate for s in served] == [0.0] * 4
