@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import observe_phase, timed_span
-from .query import Query
+from .query import Query, QueryBatch
 from .table import Table
 from .workload import Workload
 
@@ -119,11 +119,14 @@ class CardinalityEstimator(ABC):
         inference, so it must not inflate span counts N-fold the way the
         old per-query re-entry did.  Timing accounting stays per-query
         (``inference_count`` grows by ``len(queries)``), and every element
-        gets exactly the scalar path's non-negativity clamp.
+        gets exactly the scalar path's non-negativity clamp.  A
+        :class:`~repro.core.query.QueryBatch` is passed through as it is,
+        so a columnar batch stays columnar.
         """
         if self._table is None:
             raise RuntimeError(f"{self.name} must be fit before estimating")
-        queries = list(queries)
+        if not isinstance(queries, QueryBatch):
+            queries = list(queries)
         if not queries:
             return np.zeros(0, dtype=np.float64)
         with timed_span(

@@ -113,6 +113,18 @@ class Query:
         )
         return Query(preds)
 
+    # Codec rows and cache signatures are memoized in the instance dict;
+    # a pickle carries only the value, and copies share the (immutable)
+    # instance, as tuples do.
+    def __getstate__(self) -> dict:
+        return {"predicates": self.predicates}
+
+    def __copy__(self) -> "Query":
+        return self
+
+    def __deepcopy__(self, memo) -> "Query":
+        return self
+
 
 def closed_range(column: int, lo: float, hi: float) -> Predicate:
     """Convenience constructor for ``lo <= A <= hi``."""
@@ -149,6 +161,9 @@ class PredicateArrays:
 
     @classmethod
     def of(cls, queries: Sequence[Query]) -> "PredicateArrays":
+        """The batch's arrays; a :class:`QueryBatch` returns its own."""
+        if isinstance(queries, QueryBatch):
+            return queries.arrays
         preds = [p for q in queries for p in q.predicates]
         n = len(preds)
         arity = np.array([len(q.predicates) for q in queries], dtype=np.int64)
@@ -158,7 +173,7 @@ class PredicateArrays:
         hi = [math.inf if v is None else v for v in his]
         return cls(
             arity=arity,
-            query=np.repeat(np.arange(len(queries)), arity),
+            query=np.arange(len(queries)).repeat(arity),
             column=np.fromiter([p.column for p in preds], np.int64, n),
             lo=np.fromiter(lo, np.float64, n),
             hi=np.fromiter(hi, np.float64, n),
@@ -175,3 +190,69 @@ class PredicateArrays:
     def is_equality(self) -> np.ndarray:
         """:attr:`Predicate.is_equality` per predicate."""
         return ~self.lo_open & ~self.hi_open & (self.lo == self.hi)
+
+
+class QueryBatch(Sequence):
+    """A read-only query batch held as :class:`PredicateArrays`.
+
+    The batch kernels read the arrays (:meth:`PredicateArrays.of`
+    returns them as they are), so a batch decoded from a shard request
+    frame reaches an estimator without building a :class:`Query`.  The
+    queries are built on the first item access and kept; the batch
+    compares equal to the list of its queries.  The arrays must
+    describe valid queries: every query has a predicate, no column
+    repeats inside a query, and every predicate bounds a side.
+    """
+
+    __slots__ = ("arrays", "_queries")
+
+    def __init__(self, arrays: PredicateArrays) -> None:
+        self.arrays = arrays
+        self._queries: list[Query] | None = None
+
+    @property
+    def materialized(self) -> bool:
+        """True once the :class:`Query` objects have been built."""
+        return self._queries is not None
+
+    def _materialize(self) -> list[Query]:
+        if self._queries is None:
+            a = self.arrays
+            los = [
+                None if open_ else v
+                for v, open_ in zip(a.lo.tolist(), a.lo_open.tolist())
+            ]
+            his = [
+                None if open_ else v
+                for v, open_ in zip(a.hi.tolist(), a.hi_open.tolist())
+            ]
+            preds = list(map(Predicate, a.column.tolist(), los, his))
+            queries = []
+            start = 0
+            for end in np.cumsum(a.arity).tolist():
+                queries.append(Query(tuple(preds[start:end])))
+                start = end
+            self._queries = queries
+        return self._queries
+
+    def __len__(self) -> int:
+        return len(self.arrays.arity)
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QueryBatch):
+            other = other._materialize()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._materialize() == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        state = "materialized" if self.materialized else "columnar"
+        return f"QueryBatch({len(self)} queries, {state})"

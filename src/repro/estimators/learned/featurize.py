@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...core.query import Predicate, Query
+from ...core.query import PredicateArrays, Query
 from ...core.table import Table
 from ..traditional.dbms import PostgresEstimator
 
@@ -23,6 +23,10 @@ _EBO_POWERS = np.array([1.0, 0.5, 0.25, 0.125])
 
 #: Floor applied to selectivities before log-transforming CE features.
 _SEL_FLOOR = 1e-9
+
+#: Predicate-by-sample-row comparisons per pass of
+#: :meth:`MscnFeaturizer.bitmaps` (2 MB of gathered float64 values).
+_BITMAP_CHUNK = 1 << 18
 
 
 class RangeFeaturizer:
@@ -178,96 +182,99 @@ class MscnFeaturizer:
         self.sample = table.data[idx]
 
     # ------------------------------------------------------------------
-    def _atomic_predicates(self, query: Query) -> list[tuple[int, int, float]]:
-        """Decompose into (column, op, literal); closed ranges split in two."""
-        atoms: list[tuple[int, int, float]] = []
-        for pred in query.predicates:
-            if pred.is_equality:
-                atoms.append((pred.column, 2, float(pred.lo)))  # type: ignore[arg-type]
-                continue
-            if pred.lo is not None:
-                atoms.append((pred.column, 0, float(pred.lo)))
-            if pred.hi is not None:
-                atoms.append((pred.column, 1, float(pred.hi)))
-        return atoms
+    # The kernels below call ufuncs and ndarray methods, not their
+    # Python-level wrappers (np.ones, np.repeat, ndarray.all, ...): a
+    # one-query batch runs each call on a handful of elements, and a
+    # wrapper's overhead is then a sizeable share of a served miss.
+    def _atoms(
+        self, preds: PredicateArrays
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(query index, features) of every atom, query-major, plus the
+        per-query atom counts.
 
-    def predicate_tensor(
-        self, queries: list[Query]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(batch, max_preds, predicate_dim) features and a validity mask."""
-        batch = len(queries)
-        feats = np.zeros((batch, self.max_predicates, self.predicate_dim))
-        mask = np.zeros((batch, self.max_predicates))
-        qis: list[int] = []
-        pis: list[int] = []
-        cols: list[int] = []
-        ops: list[int] = []
-        lits: list[float] = []
-        for qi, query in enumerate(queries):
-            for pi, (col, op, literal) in enumerate(self._atomic_predicates(query)):
-                qis.append(qi)
-                pis.append(pi)
-                cols.append(col)
-                ops.append(op)
-                lits.append(literal)
-        if qis:
-            qi_a, pi_a, col_a = np.asarray(qis), np.asarray(pis), np.asarray(cols)
-            feats[qi_a, pi_a, col_a] = 1.0
-            feats[qi_a, pi_a, self.num_columns + np.asarray(ops)] = 1.0
-            feats[qi_a, pi_a, -1] = (np.asarray(lits) - self.mins[col_a]) / self.spans[
-                col_a
-            ]
-            mask[qi_a, pi_a] = 1.0
-        return feats, mask
+        A predicate yields an equality atom (op 2), or a ``>=`` atom
+        (op 0) for a bounded low side followed by a ``<=`` atom (op 1)
+        for a bounded high side: a closed range splits in two.  Both
+        candidate atoms of every predicate are featurized, and a mask
+        keeps the real ones.
+        """
+        column = preds.column
+        eq = preds.is_equality
+        nc = self.num_columns
+        feats = np.zeros((column.size, 2, self.predicate_dim))
+        feats[np.arange(column.size), :, column] = 1.0
+        feats[:, 0, nc] = ~eq
+        feats[:, 0, nc + 2] = eq
+        feats[:, 1, nc + 1] = 1.0
+        mins, spans = self.mins[column], self.spans[column]
+        feats[:, 0, -1] = (preds.lo - mins) / spans
+        feats[:, 1, -1] = (preds.hi - mins) / spans
+        keep = np.empty((column.size, 2), dtype=bool)
+        np.logical_not(preds.lo_open, out=keep[:, 0])
+        np.logical_not(preds.hi_open | eq, out=keep[:, 1])
+        keep = keep.ravel()
+        query = preds.query.repeat(2)[keep]
+        counts = np.bincount(query, minlength=preds.arity.size)
+        return query, feats.reshape(-1, self.predicate_dim)[keep], counts
 
-    def atoms(self, queries: list[Query]) -> tuple[np.ndarray, np.ndarray]:
+    def atoms(self, preds: PredicateArrays) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated atom features plus per-query atom counts.
 
-        The padding-free companion of :meth:`predicate_tensor` for the
-        batched inference path: identical feature values, laid out as one
-        (total_atoms, predicate_dim) matrix in query order.
+        The padding-free layout the batched inference path feeds to
+        :meth:`~repro.estimators.learned.mscn._MscnNetwork.forward_atoms`:
+        one (total_atoms, predicate_dim) matrix in query order, holding
+        the valid rows of :meth:`predicate_tensor`.
         """
-        counts = np.zeros(len(queries), dtype=np.int64)
-        cols: list[int] = []
-        ops: list[int] = []
-        lits: list[float] = []
-        for qi, query in enumerate(queries):
-            atoms = self._atomic_predicates(query)
-            counts[qi] = len(atoms)
-            for col, op, literal in atoms:
-                cols.append(col)
-                ops.append(op)
-                lits.append(literal)
-        feats = np.zeros((len(cols), self.predicate_dim))
-        if cols:
-            rows = np.arange(len(cols))
-            col_a = np.asarray(cols)
-            feats[rows, col_a] = 1.0
-            feats[rows, self.num_columns + np.asarray(ops)] = 1.0
-            feats[rows, -1] = (np.asarray(lits) - self.mins[col_a]) / self.spans[
-                col_a
-            ]
+        _, feats, counts = self._atoms(preds)
         return feats, counts
 
-    def bitmaps(self, queries: list[Query]) -> np.ndarray:
-        """(batch, sample_size) bitmap of sample tuples satisfying each query."""
-        n_q = len(queries)
-        sat = np.ones((n_q, len(self.sample)), dtype=bool)
-        # Group by column: each constrained column tests its sample
-        # values against every query bound in one vectorized comparison.
-        by_col: dict[int, tuple[list[int], list[float], list[float]]] = {}
-        for qi, query in enumerate(queries):
-            for pred in query.predicates:
-                qis, los, his = by_col.setdefault(pred.column, ([], [], []))
-                qis.append(qi)
-                los.append(-np.inf if pred.lo is None else pred.lo)
-                his.append(np.inf if pred.hi is None else pred.hi)
-        for col, (qis, los, his) in by_col.items():
-            vals = self.sample[:, col]
-            lo = np.asarray(los)[:, None]
-            hi = np.asarray(his)[:, None]
-            sat[np.asarray(qis)] &= (vals[None, :] >= lo) & (vals[None, :] <= hi)
-        return sat.astype(np.float64)
+    def predicate_tensor(
+        self, preds: PredicateArrays
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(batch, max_preds, predicate_dim) features and a validity mask,
+        the padded layout training back-propagates through."""
+        batch = preds.arity.size
+        feats = np.zeros((batch, self.max_predicates, self.predicate_dim))
+        mask = np.zeros((batch, self.max_predicates))
+        query, atom_feats, counts = self._atoms(preds)
+        slot = _slots(counts)
+        feats[query, slot] = atom_feats
+        mask[query, slot] = 1.0
+        return feats, mask
+
+    def bitmaps(self, preds: PredicateArrays) -> np.ndarray:
+        """(batch, sample_size) bitmap of sample tuples satisfying each query.
+
+        Every predicate tests its column of the sample in one comparison,
+        into the query's row of a (batch, max_arity, sample_size) stack
+        padded with True; the queries' bitmaps are the stack's AND over
+        that axis.  Predicates are compared a chunk at a time, which
+        bounds the gathered sample columns of a training set to a few MB.
+        """
+        arity = preds.arity
+        size = len(self.sample)
+        sat = np.empty(
+            (arity.size, np.maximum.reduce(arity, initial=0), size), dtype=bool
+        )
+        sat.fill(True)
+        slot = _slots(arity)
+        sample_t = self.sample.T
+        step = max(1, _BITMAP_CHUNK // size)
+        for start in range(0, preds.column.size, step):
+            rows = slice(start, start + step)
+            vals = sample_t[preds.column[rows]]
+            hit = vals >= preds.lo[rows, None]
+            hit &= vals <= preds.hi[rows, None]
+            sat[preds.query[rows], slot[rows]] = hit
+        return np.logical_and.reduce(sat, axis=1).astype(np.float64)
+
+
+def _slots(counts: np.ndarray) -> np.ndarray:
+    """Each element's position inside its segment, for segments of
+    ``counts`` consecutive elements."""
+    ends = np.add.accumulate(counts)
+    total = ends[-1] if ends.size else 0
+    return np.arange(total) - (ends - counts).repeat(counts)
 
 
 def log_cardinality_labels(cardinalities: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ...core.estimator import CardinalityEstimator
-from ...core.query import Query
+from ...core.query import PredicateArrays, Query
 from ...core.table import Table
 from ...core.workload import Workload
 from ...nn import Adam, Linear, ReLU, Sequential, global_grad_norm, qerror_loss
@@ -87,22 +87,23 @@ class _MscnNetwork:
         """Inference-only forward over the concatenated valid atoms.
 
         Skips the padded predicate slots entirely: the MLP runs on the
-        real atoms and segment sums replace the masked pooling.  Matches
-        :meth:`forward` bit-for-bit — padded slots are zeroed before the
-        pooling sum there, and adding trailing zeros is exact.  Not
-        usable for training (no activations are cached for backward).
+        real atoms and segment sums replace the masked pooling.  The MLP
+        rows equal :meth:`forward`'s bit for bit, but the segment sums
+        add in order where the padded masked sum uses NumPy's pairwise
+        summation, so the outputs agree to the last ulp, not bit for
+        bit.  Every served estimate comes from here (scalar ``estimate``
+        included).  Not usable for training (no activations are cached
+        for backward).
         """
         counts = np.asarray(counts, dtype=np.int64)
         hidden = self.predicate_mlp.forward(flat_feats)
-        # Inherit the MLP's dtype: int8 layers emit float32, and a
-        # float64 pool here would silently upcast the rest of the net.
-        pooled = np.zeros((len(counts), self.hidden), dtype=hidden.dtype)
-        nonzero = np.flatnonzero(counts)
-        if nonzero.size and len(hidden):
-            ends = np.cumsum(counts)
-            starts = ends[nonzero] - counts[nonzero]
-            pooled[nonzero] = np.add.reduceat(hidden, starts, axis=0)
-            pooled[nonzero] /= counts[nonzero][:, None]
+        # Every query has at least one atom, so no segment is empty.  The
+        # in-place divide keeps the MLP's dtype: int8 layers emit
+        # float32, and a float64 pool here would silently upcast the
+        # rest of the net.
+        starts = np.add.accumulate(counts) - counts
+        pooled = np.add.reduceat(hidden, starts, axis=0)
+        np.true_divide(pooled, counts[:, None], out=pooled)
         if self.sample_mlp is not None:
             sample_hidden = self.sample_mlp.forward(bitmaps)
             merged = np.concatenate([pooled, sample_hidden], axis=1)
@@ -214,9 +215,9 @@ class MscnEstimator(CardinalityEstimator):
     ) -> None:
         assert self._featurizer is not None and self._network is not None
         assert self._optimizer is not None
-        queries = list(workload.queries)
-        pred_feats, pred_mask = self._featurizer.predicate_tensor(queries)
-        bitmaps = self._featurizer.bitmaps(queries)
+        preds = PredicateArrays.of(workload.queries)
+        pred_feats, pred_mask = self._featurizer.predicate_tensor(preds)
+        bitmaps = self._featurizer.bitmaps(preds)
         labels = log_cardinality_labels(workload.cardinalities)
         n = len(labels)
         monitor = get_monitor()
@@ -264,24 +265,21 @@ class MscnEstimator(CardinalityEstimator):
 
     # ------------------------------------------------------------------
     def _estimate(self, query: Query) -> float:
-        assert self._featurizer is not None and self._network is not None
-        pred_feats, pred_mask = self._featurizer.predicate_tensor([query])
-        bitmaps = self._featurizer.bitmaps([query])
-        log_card = float(self._network.forward(pred_feats, pred_mask, bitmaps)[0])
-        return float(np.exp(np.clip(log_card, -30.0, 30.0)))
+        return float(self._estimate_batch([query])[0])
 
     def _estimate_batch(self, queries: Sequence[Query]) -> np.ndarray:
         """One network forward over the batch's concatenated atoms.
 
-        The padding-free atom layout plus segment-sum pooling produces
-        the same per-query output as featurizing each query alone (see
-        :meth:`MscnNetwork.forward_atoms`), without spending predicate-MLP
-        work on empty padded slots.
+        The featurizer reads the batch as :class:`PredicateArrays` (a
+        decoded :class:`~repro.core.query.QueryBatch` hands over its own
+        arrays), and the padding-free atom layout plus segment-sum
+        pooling (:meth:`_MscnNetwork.forward_atoms`) spends no
+        predicate-MLP work on empty padded slots.
         """
         assert self._featurizer is not None and self._network is not None
-        queries = list(queries)
-        flat_feats, counts = self._featurizer.atoms(queries)
-        bitmaps = self._featurizer.bitmaps(queries)
+        preds = PredicateArrays.of(queries)
+        flat_feats, counts = self._featurizer.atoms(preds)
+        bitmaps = self._featurizer.bitmaps(preds)
         log_cards = self._network.forward_atoms(flat_feats, counts, bitmaps)
         return np.exp(np.clip(log_cards, -30.0, 30.0))
 

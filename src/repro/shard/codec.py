@@ -32,6 +32,16 @@ Result frame::
     (pad to 8)
     estimates  f64[n]                        raw doubles (NaN/inf exact)
 
+The request frame is already columnar, so :func:`unpack_queries`
+decodes it straight into :class:`~repro.core.query.PredicateArrays`
+(copied out of the slot, which the result frame overwrites) and returns
+a :class:`~repro.core.query.QueryBatch` that builds :class:`Query`
+objects only if a caller reads one.  The batch kernels take the arrays
+as they are, so a worker answers without a per-predicate Python loop.
+Decoding checks what :class:`Query` would check and raises
+:class:`CodecError` for a query without predicates, a column repeated
+inside a query, or a predicate without a bound.
+
 A batch that does not fit its slot raises :class:`CodecOverflow`; the
 supervisor falls back to the pickle path for that request and counts it.
 """
@@ -43,7 +53,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.query import Predicate, Query
+from ..core.query import PredicateArrays, Query, QueryBatch
 
 __all__ = [
     "CodecError",
@@ -201,8 +211,13 @@ def pack_queries(
 
 def unpack_queries(
     buf,
-) -> tuple[list[Query], tuple[int, int | None] | None, list[str] | None]:
-    """Decode a :func:`pack_queries` frame: (queries, trace_ctx, tenants)."""
+) -> tuple[QueryBatch, tuple[int, int | None] | None, list[str] | None]:
+    """Decode a :func:`pack_queries` frame: (queries, trace_ctx, tenants).
+
+    The queries come back as a columnar :class:`QueryBatch`; no
+    :class:`Query` is built unless a caller reads one.  A frame that
+    describes an invalid query raises :class:`CodecError`.
+    """
     if len(buf) < _HEADER.size:
         raise CodecError("request frame shorter than its header")
     magic, n, p, flags = _HEADER.unpack_from(buf, 0)
@@ -227,22 +242,7 @@ def unpack_queries(
     offset += 8 * p
     if int(counts.sum()) != p:
         raise CodecError("predicate counts do not sum to the frame total")
-
-    queries: list[Query] = []
-    idx = 0
-    for count in counts:
-        preds = []
-        for _ in range(count):
-            flag = pflags[idx]
-            preds.append(
-                Predicate(
-                    int(cols[idx]),
-                    float(los[idx]) if flag & _LO_PRESENT else None,
-                    float(his[idx]) if flag & _HI_PRESENT else None,
-                )
-            )
-            idx += 1
-        queries.append(Query(tuple(preds)))
+    batch = QueryBatch(_predicate_arrays(counts, cols, pflags, los, his))
 
     tenants: list[str] | None = None
     if flags & _F_TENANTS:
@@ -252,7 +252,38 @@ def unpack_queries(
         for length in tlens:
             tenants.append(bytes(buf[offset : offset + int(length)]).decode("utf-8"))
             offset += int(length)
-    return queries, trace_ctx, tenants
+    return batch, trace_ctx, tenants
+
+
+def _predicate_arrays(counts, cols, pflags, los, his) -> PredicateArrays:
+    """The frame's columns as :class:`PredicateArrays`, copied out of
+    ``buf`` (the result frame overwrites the slot).
+
+    Checks what :class:`Query` and :class:`Predicate` would: a query has
+    at least one predicate, no column repeats inside a query, and a
+    predicate bounds at least one side.
+    """
+    if not counts.all():
+        raise CodecError("request frame holds a query with no predicates")
+    lo_open = (pflags & _LO_PRESENT) == 0
+    hi_open = (pflags & _HI_PRESENT) == 0
+    if (lo_open & hi_open).any():
+        raise CodecError("request frame holds a predicate with no bound")
+    arity = counts.astype(np.int64)
+    query = np.repeat(np.arange(arity.size), arity)
+    column = cols.astype(np.int64)
+    keys = np.sort((query << 32) | column)
+    if (keys[1:] == keys[:-1]).any():
+        raise CodecError("request frame repeats a column inside a query")
+    return PredicateArrays(
+        arity=arity,
+        query=query,
+        column=column,
+        lo=np.where(lo_open, -np.inf, los),
+        hi=np.where(hi_open, np.inf, his),
+        lo_open=lo_open,
+        hi_open=hi_open,
+    )
 
 
 def pack_results(estimates, codes, buf) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Predicate, Query, qerrors
+from repro.core.query import PredicateArrays
 from repro.datasets import apply_update, generate_synthetic
 from repro.estimators.learned import (
     DeepDbEstimator,
@@ -192,16 +193,18 @@ class TestMscn:
         feat = est._featurizer
         full = Query((Predicate(0, 0, 1e9),))
         none = Query((Predicate(0, 1e9, 2e9),))
-        assert feat.bitmaps([full]).sum() == len(feat.sample)
-        assert feat.bitmaps([none]).sum() == 0
+        assert feat.bitmaps(PredicateArrays.of([full])).sum() == len(feat.sample)
+        assert feat.bitmaps(PredicateArrays.of([none])).sum() == 0
 
     def test_closed_range_decomposed(self, small_synthetic, synthetic_workloads):
         train, _ = synthetic_workloads
         est = MscnEstimator(epochs=2).fit(small_synthetic, train)
-        atoms = est._featurizer._atomic_predicates(
-            Query((Predicate(0, 1, 5), Predicate(1, 3, 3)))
+        feat = est._featurizer
+        atoms, counts = feat.atoms(
+            PredicateArrays.of([Query((Predicate(0, 1, 5), Predicate(1, 3, 3)))])
         )
-        ops = sorted(op for _, op, _ in atoms)
+        ops = sorted(np.flatnonzero(row[feat.num_columns : -1])[0] for row in atoms)
+        assert counts.tolist() == [3]
         assert ops == [0, 1, 2]  # >=, <=, =
 
     def test_sample_ablation_changes_model(self, small_synthetic, synthetic_workloads):

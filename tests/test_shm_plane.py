@@ -11,11 +11,14 @@ router-shared semantic cache.
 import math
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import CardinalityEstimator, Predicate, Query
+from repro.core.query import QueryBatch
+from repro.estimators.learned import MscnEstimator
 from repro.faults import WorkerCrashFault
 from repro.lifecycle.retrain import RetryPolicy
 from repro.shard import (
@@ -33,6 +36,7 @@ from repro.shard.codec import (
     unpack_queries,
     unpack_results,
 )
+from repro.shard.supervisor import _worker_main
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK_AVAILABLE, reason="no fork on platform")
@@ -274,6 +278,144 @@ class TestCodecProperties:
             unpack_queries(b"\x00" * 32)
         with pytest.raises(CodecError, match="header"):
             unpack_results(b"\x01")
+
+
+def two_query_frame() -> tuple[bytearray, int]:
+    """A valid frame of two queries over columns (0, 1) and (2,).
+
+    Without trace or tenants the layout is: 16-byte header, u32 counts
+    at 16, u32 cols at 24, u8 pflags at 36.
+    """
+    buf = bytearray(256)
+    used = pack_queries(
+        [
+            Query((Predicate(0, 1.0, 2.0), Predicate(1, None, 3.0))),
+            Query((Predicate(2, 4.0, None),)),
+        ],
+        buf,
+    )
+    return buf, used
+
+
+def patch_u32(buf: bytearray, offset: int, value: int) -> None:
+    buf[offset : offset + 4] = np.uint32(value).tobytes()
+
+
+def zero_predicate_frame() -> bytes:
+    buf, used = two_query_frame()
+    patch_u32(buf, 16, 3)  # counts (2, 1) -> (3, 0): the sum still matches
+    patch_u32(buf, 20, 0)
+    return bytes(buf[:used])
+
+
+def repeated_column_frame() -> bytes:
+    buf, used = two_query_frame()
+    patch_u32(buf, 28, 0)  # the first query's cols (0, 1) -> (0, 0)
+    return bytes(buf[:used])
+
+
+def unbounded_predicate_frame() -> bytes:
+    buf, used = two_query_frame()
+    buf[38] = 0  # the third predicate loses its lo-present bit
+    return bytes(buf[:used])
+
+
+class TestCodecValidation:
+    """Frames describing queries :class:`Query` would refuse."""
+
+    def test_two_query_frame_is_valid(self):
+        buf, used = two_query_frame()
+        batch, _, _ = unpack_queries(bytes(buf[:used]))
+        assert batch == [
+            Query((Predicate(0, 1.0, 2.0), Predicate(1, None, 3.0))),
+            Query((Predicate(2, 4.0, None),)),
+        ]
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            (zero_predicate_frame, "no predicates"),
+            (repeated_column_frame, "repeats a column"),
+            (unbounded_predicate_frame, "no bound"),
+        ],
+    )
+    def test_invalid_query_raises_codec_error(self, frame, message):
+        with pytest.raises(CodecError, match=message):
+            unpack_queries(frame())
+
+
+class ThreadWorker:
+    """``_worker_main`` on a thread, fed through a pipe and a ring
+    exactly as a forked shm worker is (one fresh slot per request)."""
+
+    def __init__(self, estimator) -> None:
+        self.ring = ShmRing(4, 1 << 16)
+        self.conn, child = multiprocessing.Pipe()
+        self.thread = threading.Thread(
+            target=_worker_main, args=(estimator, child), kwargs={"ring": self.ring}
+        )
+        self.thread.start()
+
+    def serve(self, frame: bytes, request_id: int = 1):
+        slot = self.ring.acquire()
+        self.ring.slot_view(slot)[: len(frame)] = frame
+        self.conn.send(("serve_slot", request_id, slot, len(frame)))
+        return self.conn.recv()
+
+    def close(self) -> None:
+        self.conn.send(("stop",))
+        assert self.conn.recv()[0] == "stopped"
+        self.thread.join(timeout=5.0)
+        self.ring.close(unlink=True)
+
+
+class TestColumnarWorker:
+    @pytest.fixture(scope="class")
+    def mscn(self, small_synthetic, synthetic_workloads):
+        train, _ = synthetic_workloads
+        return MscnEstimator(epochs=2).fit(small_synthetic, train)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [zero_predicate_frame, repeated_column_frame, unbounded_predicate_frame],
+    )
+    def test_invalid_frame_gets_error_reply(self, tiny_table, frame):
+        worker = ThreadWorker(TensorEstimator(3.0).fit(tiny_table))
+        try:
+            op, request_id, message, _ = worker.serve(frame(), request_id=7)
+            assert (op, request_id) == ("error", 7)
+            assert message.startswith("CodecError")
+            # the worker survives and answers the next valid frame
+            buf, used = two_query_frame()
+            reply = worker.serve(bytes(buf[:used]), request_id=8)
+            assert reply[:2] == ("result_slot", 8)
+        finally:
+            worker.close()
+
+    def test_shm_served_mscn_batch_stays_columnar(
+        self, mscn, synthetic_workloads, monkeypatch
+    ):
+        _, test = synthetic_workloads
+        queries = list(test.queries[:128])
+        expected = mscn.estimate_many(queries)
+
+        def refuse(self):
+            raise AssertionError("the worker built Query objects")
+
+        monkeypatch.setattr(QueryBatch, "_materialize", refuse)
+        buf = bytearray(1 << 16)
+        frame = bytes(buf[: pack_queries(queries, buf)])
+        worker = ThreadWorker(mscn)
+        try:
+            reply = worker.serve(frame)
+            assert reply[0] == "result_slot", reply
+            values, codes = unpack_results(
+                worker.ring.slot_view(reply[2])[: reply[3]]
+            )
+        finally:
+            worker.close()
+        assert values.tobytes() == expected.tobytes()
+        assert not codes.any()
 
 
 # ----------------------------------------------------------------------
