@@ -24,7 +24,6 @@ from repro.bench.scale_exp import (
     format_scale,
     run_chaos_scenario,
     scale_experiment,
-    transport_experiment,
 )
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -195,83 +194,6 @@ class TestCommittedBaseline:
         if payload["cpu_count"] < 2:
             pytest.skip("single-CPU baseline: fork cannot beat in-process")
         assert payload["speedup"] >= 1.1
-
-
-class TestTransport:
-    """Pipe-vs-shm data plane: correctness is unconditional, speed is
-    gated on physical parallelism.
-
-    Bit-identity between the two transports (and against the inline
-    reference) must hold on any machine — the codec either round-trips
-    exactly or it is broken.  The shm speedup floor, by contrast, only
-    applies where a worker can actually run beside the parent, so it is
-    gated on the ``cpu_count`` recorded in the artifact, mirroring
-    ``test_speedup_floor_where_cores_exist``.
-    """
-
-    @pytest.fixture(scope="class")
-    def live(self, ctx):
-        # Small cells: enough round trips for a stable p50 ordering
-        # check is not the point here — correctness is.
-        return transport_experiment(
-            ctx,
-            replay=512,
-            num_shards=2,
-            workers_per_shard=1,
-            batch=64,
-            rounds=5,
-        )
-
-    def test_live_bit_identity_is_unconditional(self, live):
-        assert live["bit_identical"] == {"fp32": True, "int8": True}
-        for transport in ("pipe", "shm"):
-            chaos = live["chaos"][transport]
-            assert chaos["availability"] == 1.0, transport
-            assert chaos["bit_identical_to_inline"] is True, transport
-
-    @pytest.fixture(scope="class")
-    def payload(self):
-        assert BASELINE.exists(), "run `python -m repro.bench scale` to regenerate"
-        merged = json.loads(BASELINE.read_text())
-        if "transport" not in merged:
-            pytest.skip(
-                "baseline lacks the transport comparison: regenerate via "
-                "`python -m repro.bench scale --transport`"
-            )
-        return merged["transport"]
-
-    def test_baseline_schema(self, payload):
-        for key in (
-            "batch",
-            "rounds",
-            "mode",
-            "cpu_count",
-            "pipe",
-            "shm",
-            "bit_identical",
-            "speedup_p50_int8",
-            "chaos",
-        ):
-            assert key in payload, key
-        for transport in ("pipe", "shm"):
-            for precision in ("fp32", "int8"):
-                cell = payload[transport][precision]
-                assert cell["p99_us"] >= cell["p50_us"] > 0.0
-                assert cell["qps"] > 0.0
-
-    def test_baseline_bit_identity_is_unconditional(self, payload):
-        assert payload["bit_identical"] == {"fp32": True, "int8": True}
-        for transport in ("pipe", "shm"):
-            chaos = payload["chaos"][transport]
-            assert chaos["availability"] == 1.0, transport
-            assert chaos["bit_identical_to_inline"] is True, transport
-
-    def test_shm_speedup_floor_where_cores_exist(self, payload):
-        if payload["cpu_count"] < 2:
-            pytest.skip("single-CPU baseline: shm cannot beat pipe dispatch")
-        # The acceptance bar: at batch 1000 with int8 workers, shm p50
-        # must halve the pipe round trip.
-        assert payload["speedup_p50_int8"] >= 2.0
 
 
 def test_dispatch_hot_path_benchmark(ctx, benchmark, results):

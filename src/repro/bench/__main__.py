@@ -154,13 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", default=None, help="ci | default | paper")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--transport",
-        action="store_true",
-        help="scale experiment only: also run the pipe-vs-shm transport "
-        "comparison (fp32 and int8 workers) and merge it into "
-        "BENCH_serve.json under the 'transport' key",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -190,13 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(
             f"unknown experiment(s) {unknown}; choose from {sorted(EXPERIMENTS)}"
-        )
-    if args.transport:
-        # In-process override only: the --jobs fan-out rebuilds the
-        # experiment table from the module, so the transport comparison
-        # runs with the default serial path.
-        EXPERIMENTS["scale"] = lambda ctx: format_scale(
-            scale_experiment(ctx, include_transport=True)
         )
 
     collector = None

@@ -35,7 +35,6 @@ KeyboardInterrupt/SIGTERM the partial scenario results are flushed
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -73,7 +72,7 @@ from ..obs.clock import perf_counter
 from ..parallel import detect_worker_count
 from ..rules.enforce import is_sane
 from ..serve import HeuristicConstantEstimator
-from ..shard import AdmissionConfig, ShardRequest, ShardRouter, WorkerSupervisor
+from ..shard import AdmissionConfig, ShardRequest, ShardRouter
 from .context import BenchContext
 from .reporting import render_table
 
@@ -281,7 +280,6 @@ def run_chaos_scenario(
     num_shards: int = 2,
     workers_per_shard: int = 2,
     mode: str = "auto",
-    transport: str = "auto",
 ) -> ScaleScenarioResult:
     """Replay the stream through a sharded router under one scenario."""
     table = ctx.table("census")
@@ -325,7 +323,6 @@ def run_chaos_scenario(
         admission=scenario.admission,
         policy=scenario.policy,
         mode=mode,
-        transport=transport,
         request_timeout_seconds=scenario.request_timeout_seconds,
         seed=ctx.seed,
         events=events,
@@ -452,158 +449,12 @@ def run_chaos_scenario(
     )
 
 
-def _transport_microbench(
-    ctx: BenchContext,
-    *,
-    batch: int = 1000,
-    rounds: int = 30,
-) -> dict:
-    """Round-trip latency of pipe vs shm dispatch, fp32 vs int8 workers.
-
-    One worker, one batch of ``batch`` census queries, ``rounds``
-    dispatches per (transport, precision) cell — small enough to ride
-    along with the chaos matrix, long enough that the p50 is a
-    steady-state number rather than a fork warm-up artifact.  The int8
-    worker is the fp32 teacher packed in place, so the bit-identity
-    columns compare like against like.
-    """
-    queries = _replay_stream(ctx, batch, 1)
-    teacher = ctx.fresh_estimator("lw-nn", "census")
-    quantized = copy.deepcopy(teacher)
-    quantized.quantize_int8()
-    models = {"fp32": teacher, "int8": quantized}
-
-    out: dict = {"batch": batch, "rounds": rounds}
-    answers: dict[tuple[str, str], np.ndarray] = {}
-    modes: set[str] = set()
-    for model_name, model in models.items():
-        for transport in ("pipe", "shm"):
-            supervisor = WorkerSupervisor(
-                f"bench-{transport}-{model_name}",
-                model,
-                1,
-                transport=transport,
-                registry=MetricsRegistry(),
-                telemetry=False,
-            )
-            modes.add(supervisor.mode)
-            supervisor.start()
-            try:
-                latencies: list[float] = []
-                values = None
-                start = perf_counter()
-                for _ in range(rounds):
-                    t0 = perf_counter()
-                    dispatch = supervisor.dispatch(queries)
-                    latencies.append(perf_counter() - t0)
-                    values = dispatch.values
-                elapsed = perf_counter() - start
-            finally:
-                supervisor.drain()
-            if values is None:
-                raise RuntimeError(
-                    f"transport bench dispatch failed "
-                    f"({transport}, {model_name})"
-                )
-            answers[(model_name, transport)] = np.asarray(values)
-            out.setdefault(transport, {})[model_name] = {
-                "p50_us": float(np.percentile(latencies, 50.0) * 1e6),
-                "p99_us": float(np.percentile(latencies, 99.0) * 1e6),
-                "qps": rounds * batch / elapsed,
-            }
-    # ``mode`` records whether dispatch actually crossed a process: on a
-    # fork-less platform both cells run inline and the speedup column is
-    # meaningless (the floors in benchmarks/ gate on cpu_count anyway).
-    out["mode"] = sorted(modes)[0] if len(modes) == 1 else "mixed"
-    out["bit_identical"] = {
-        name: bool(
-            np.array_equal(answers[(name, "pipe")], answers[(name, "shm")])
-        )
-        for name in models
-    }
-    out["speedup_p50_int8"] = (
-        out["pipe"]["int8"]["p50_us"] / out["shm"]["int8"]["p50_us"]
-    )
-    return out
-
-
-def transport_experiment(
-    ctx: BenchContext,
-    *,
-    replay: int | None = None,
-    num_shards: int = 2,
-    workers_per_shard: int = 2,
-    batch: int = 1000,
-    rounds: int = 30,
-) -> dict:
-    """Pipe-vs-shm comparison: no-fault chaos replay plus micro round trips.
-
-    The no-fault scenario runs once per transport; each run's
-    ``bit_identical`` flag compares against the transport-independent
-    single-shard inline reference, so two passing runs prove the two
-    transports agree bit-for-bit with each other as well.  The payload
-    lands under ``BENCH_serve.json``'s ``"transport"`` key.
-    """
-    no_fault = next(
-        s for s in default_chaos_matrix(ctx.seed) if s.name == "no-fault"
-    )
-    chaos: dict = {}
-    for transport in ("pipe", "shm"):
-        result = run_chaos_scenario(
-            ctx,
-            no_fault,
-            replay=replay,
-            num_shards=num_shards,
-            workers_per_shard=workers_per_shard,
-            transport=transport,
-        )
-        chaos[transport] = {
-            "availability": result.availability,
-            "throughput_qps": result.throughput_qps,
-            "p50_ms": result.p50_ms,
-            "p99_ms": result.p99_ms,
-            "bit_identical_to_inline": result.bit_identical,
-        }
-    payload = _transport_microbench(ctx, batch=batch, rounds=rounds)
-    payload["cpu_count"] = detect_worker_count()
-    payload["chaos"] = chaos
-    return payload
-
-
-def format_transport(payload: dict) -> str:
-    rows = []
-    for transport in ("pipe", "shm"):
-        for precision in ("fp32", "int8"):
-            cell = payload[transport][precision]
-            rows.append(
-                [
-                    transport,
-                    precision,
-                    f"{cell['p50_us']:,.0f}",
-                    f"{cell['p99_us']:,.0f}",
-                    f"{cell['qps']:,.0f}",
-                    "yes" if payload["bit_identical"][precision] else "NO",
-                ]
-            )
-    title = (
-        f"Transport comparison (batch={payload['batch']}, "
-        f"rounds={payload['rounds']}, mode={payload['mode']}, "
-        f"int8 shm speedup p50 {payload['speedup_p50_int8']:.2f}x)"
-    )
-    return render_table(
-        ["transport", "weights", "p50(us)", "p99(us)", "qps", "pipe==shm"],
-        rows,
-        title=title,
-    )
-
-
 def write_serve_artifacts(
     ctx: BenchContext,
     results: list[ScaleScenarioResult],
     *,
     num_shards: int,
     workers_per_shard: int,
-    transport_payload: dict | None = None,
     partial: bool = False,
     json_path: str | Path = "BENCH_serve.json",
     text_path: str | Path = "benchmarks/results/scale_serving.txt",
@@ -657,8 +508,6 @@ def write_serve_artifacts(
             for r in results
         },
     }
-    if transport_payload is not None:
-        payload["transport"] = transport_payload
     try:
         merged = json.loads(json_path.read_text())
     except (OSError, ValueError):
@@ -667,10 +516,7 @@ def write_serve_artifacts(
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
     text_path.parent.mkdir(parents=True, exist_ok=True)
-    text = format_scale(results)
-    if transport_payload is not None:
-        text += "\n\n" + format_transport(transport_payload)
-    text_path.write_text(text + "\n")
+    text_path.write_text(format_scale(results) + "\n")
     return [json_path, text_path]
 
 
@@ -681,17 +527,13 @@ def scale_experiment(
     num_shards: int = 2,
     workers_per_shard: int = 2,
     mode: str = "auto",
-    transport: str = "auto",
-    include_transport: bool = False,
     scenarios: list[ChaosScenario] | None = None,
     json_path: str | Path = "BENCH_serve.json",
     text_path: str | Path = "benchmarks/results/scale_serving.txt",
 ) -> list[ScaleScenarioResult]:
     """Run the chaos matrix and write both artifacts.
 
-    ``include_transport`` additionally runs :func:`transport_experiment`
-    (pipe vs shm, fp32 vs int8) and merges its payload under the
-    artifact's ``"transport"`` key.  An interrupt (Ctrl-C / SIGTERM via
+    An interrupt (Ctrl-C / SIGTERM via
     the CLI's handler) flushes the scenarios finished so far — marked
     ``"partial": true`` — before the KeyboardInterrupt propagates to the
     caller.
@@ -708,19 +550,8 @@ def scale_experiment(
                     num_shards=num_shards,
                     workers_per_shard=workers_per_shard,
                     mode=mode,
-                    transport=transport,
                 )
             )
-        transport_payload = (
-            transport_experiment(
-                ctx,
-                replay=replay,
-                num_shards=num_shards,
-                workers_per_shard=workers_per_shard,
-            )
-            if include_transport
-            else None
-        )
     except KeyboardInterrupt:
         write_serve_artifacts(
             ctx,
@@ -737,7 +568,6 @@ def scale_experiment(
         results,
         num_shards=num_shards,
         workers_per_shard=workers_per_shard,
-        transport_payload=transport_payload,
         json_path=json_path,
         text_path=text_path,
     )

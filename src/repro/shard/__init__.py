@@ -15,9 +15,12 @@ Layering::
             └── EstimatorService      in-process degradation chain
 
 The pipes between supervisor and workers are a pure control plane:
-bulk data (model tensors, query batches, results) crosses through
+bulk data (model tensors, query batches, results) crosses only through
 shared memory (:mod:`.shm`, :mod:`.codec`), and ``tests/test_lint.py``
-rule 7 bans any other payload over a shard pipe.
+rule 7 bans any other payload over a shard pipe.  A batch that cannot
+ride the ring (too large for a slot, or no free worker) is answered by
+the shard's in-process fallback chain; a model swap of forked workers
+attaches an arena generation.  Inline pools (no fork) call the model directly.
 
 Every request gets an answer — worker, fallback chain, or heuristic
 shed tier — so availability stays 1.0 under the whole chaos matrix

@@ -1,9 +1,9 @@
 """Binary frame codec for query batches and result arrays.
 
-``transport="shm"`` moves every query batch and every result through a
+A forked worker pool moves every query batch and every result through a
 :class:`~repro.shard.shm.ShmRing` slot as a struct-framed byte layout
-instead of a pickle.  The duplex pipes then carry only fixed-size
-control tuples (op, request id, slot index, frame length) — see
+instead of a pickle.  The duplex pipes carry only fixed-size control
+tuples (op, request id, slot index, frame length) — see
 :mod:`repro.shard.supervisor`.
 
 Request frame (little-endian, offsets computed identically on both
@@ -18,12 +18,10 @@ sides from the header counts)::
     (pad to 8)
     los      f64[n_preds]                  0.0 placeholder when absent
     his      f64[n_preds]
-    tlens    u32[n_queries]                (when flags & TENANTS)
-    tbytes   UTF-8, concatenated
 
 Bounds travel as raw IEEE doubles behind presence bits, so open-sided
 predicates, NaN and ±inf all round-trip exactly — the chaos matrix
-asserts bit-identical answers against the pickle transport.
+asserts that forked answers are bit-identical to in-process ones.
 
 Result frame::
 
@@ -43,7 +41,8 @@ Decoding checks what :class:`Query` would check and raises
 inside a query, or a predicate without a bound.
 
 A batch that does not fit its slot raises :class:`CodecOverflow`; the
-supervisor falls back to the pickle path for that request and counts it.
+supervisor counts it and leaves the batch to the shard's in-process
+fallback chain.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class CodecError(RuntimeError):
 
 
 class CodecOverflow(CodecError):
-    """The frame does not fit the slot buffer (fall back to pickle)."""
+    """The frame does not fit the slot buffer."""
 
 
 _REQ_MAGIC = 0x51524551  # "QREQ"
@@ -82,7 +81,6 @@ _TRACE = struct.Struct("<QQ")
 
 _F_TRACE = 1 << 0
 _F_PARENT = 1 << 1  # the trace's parent-span half is present (not None)
-_F_TENANTS = 1 << 2
 
 _LO_PRESENT = 1
 _HI_PRESENT = 2
@@ -131,7 +129,6 @@ def pack_queries(
     buf,
     *,
     trace_ctx: tuple[int, int | None] | None = None,
-    tenants: Sequence[str] | None = None,
 ) -> int:
     """Encode a query batch into ``buf``; returns the frame length.
 
@@ -152,15 +149,6 @@ def pack_queries(
         flags |= _F_TRACE
         if parent is not None:
             flags |= _F_PARENT
-    tenant_blob = b""
-    tenant_lens: np.ndarray | None = None
-    if tenants is not None:
-        if len(tenants) != n:
-            raise CodecError("tenants must match the query batch length")
-        encoded = [t.encode("utf-8") for t in tenants]
-        tenant_lens = np.fromiter((len(e) for e in encoded), np.uint32, count=n)
-        tenant_blob = b"".join(encoded)
-        flags |= _F_TENANTS
 
     offset = _HEADER.size
     if flags & _F_TRACE:
@@ -175,13 +163,7 @@ def pack_queries(
     los_off = offset
     offset += 8 * p
     his_off = offset
-    offset += 8 * p
-    if flags & _F_TENANTS:
-        tlens_off = offset
-        offset += 4 * n
-        tbytes_off = offset
-        offset += len(tenant_blob)
-    total = offset
+    total = offset + 8 * p
     if total > len(buf):
         raise CodecOverflow(f"frame needs {total} bytes, slot has {len(buf)}")
 
@@ -200,19 +182,11 @@ def pack_queries(
         view[pflags_off : pflags_off + p] = pflags
         view[los_off : los_off + 8 * p] = los.view(np.uint8)
         view[his_off : his_off + 8 * p] = his.view(np.uint8)
-    if flags & _F_TENANTS:
-        view[tlens_off : tlens_off + 4 * n] = tenant_lens.view(np.uint8)
-        if tenant_blob:
-            view[tbytes_off : tbytes_off + len(tenant_blob)] = np.frombuffer(
-                tenant_blob, dtype=np.uint8
-            )
     return total
 
 
-def unpack_queries(
-    buf,
-) -> tuple[QueryBatch, tuple[int, int | None] | None, list[str] | None]:
-    """Decode a :func:`pack_queries` frame: (queries, trace_ctx, tenants).
+def unpack_queries(buf) -> tuple[QueryBatch, tuple[int, int | None] | None]:
+    """Decode a :func:`pack_queries` frame: (queries, trace_ctx).
 
     The queries come back as a columnar :class:`QueryBatch`; no
     :class:`Query` is built unless a caller reads one.  A frame that
@@ -239,20 +213,9 @@ def unpack_queries(
     los = np.frombuffer(buf, dtype=np.float64, count=p, offset=offset)
     offset += 8 * p
     his = np.frombuffer(buf, dtype=np.float64, count=p, offset=offset)
-    offset += 8 * p
     if int(counts.sum()) != p:
         raise CodecError("predicate counts do not sum to the frame total")
-    batch = QueryBatch(_predicate_arrays(counts, cols, pflags, los, his))
-
-    tenants: list[str] | None = None
-    if flags & _F_TENANTS:
-        tlens = np.frombuffer(buf, dtype=np.uint32, count=n, offset=offset)
-        offset += 4 * n
-        tenants = []
-        for length in tlens:
-            tenants.append(bytes(buf[offset : offset + int(length)]).decode("utf-8"))
-            offset += int(length)
-    return batch, trace_ctx, tenants
+    return QueryBatch(_predicate_arrays(counts, cols, pflags, los, his)), trace_ctx
 
 
 def _predicate_arrays(counts, cols, pflags, los, his) -> PredicateArrays:

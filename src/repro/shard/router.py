@@ -21,14 +21,13 @@ Rolling model swaps (:meth:`ShardRouter.rolling_swap`) are driven by
 the :mod:`repro.lifecycle` promotion machinery: the candidate must pass
 the :class:`~repro.lifecycle.gate.PromotionGate`, shards are swapped
 one at a time, and a candidate that fails its post-swap probe is rolled
-back shard-by-shard to the incumbent.  With the shared-memory transport
-a swap is zero-copy: the router publishes the candidate **once** into
-its :class:`~repro.shard.shm.ModelArena` and every shard's workers
-attach read-only tensor views off that one segment — no drain, no
-refork, and the model is never re-pickled to a live worker (the
-``swap_stats["model_pickles"]`` counter asserts this).  Pools that
-cannot live-swap (inline mode, pipe transport) fall back to the
-original drain → ``replace_primary`` → refork path.
+back shard-by-shard to the incumbent.  A swap of forked shards is
+zero-copy: the router publishes the candidate **once** into its
+:class:`~repro.shard.shm.ModelArena` and every shard's workers attach
+read-only tensor views off that one segment — no drain, no new
+processes, and the model is never pickled over a pipe.  A candidate the
+arena cannot publish is not promoted and touches no shard.  Inline and
+not-started pools simply adopt the candidate.
 
 The router can also share one
 :class:`~repro.fastpath.semantic.SemanticEstimateCache` across all its
@@ -187,7 +186,6 @@ class Shard:
         admission: AdmissionConfig | None = None,
         policy: RetryPolicy | None = None,
         mode: str = "auto",
-        transport: str = "auto",
         arena: ModelArena | None = None,
         semantic_view: _SemanticShardView | None = None,
         request_timeout_seconds: float = 5.0,
@@ -211,25 +209,9 @@ class Shard:
         self.telemetry = telemetry
         self._slos = slos
         self._exemplars = exemplars
-        self._num_workers = num_workers
-        self._mode = mode
-        self._transport = transport
-        self._arena = arena
         self.semantic_view = semantic_view
-        self._policy = policy
-        self._timeouts = (request_timeout_seconds, heartbeat_timeout_seconds)
-        self._seed = seed
-        self._cache_capacity = cache_capacity
-        #: swap-path counters, persistent across supervisor replacement.
-        #: ``model_pickles`` counts model re-serializations sent to a
-        #: *live* worker — zero by construction on both swap paths (the
-        #: arena path ships a control frame, the refork path inherits
-        #: the model through fork memory); the chaos matrix asserts it.
-        self.swap_stats = {
-            "arena_swaps": 0,
-            "refork_swaps": 0,
-            "model_pickles": 0,
-        }
+        #: swaps whose live workers attached an arena generation
+        self.arena_swaps = 0
         #: the estimator forked into workers; may be a fault wrapper
         #: around ``estimator`` so chaos lives only in worker processes
         self.worker_estimator = worker_estimator or estimator
@@ -254,29 +236,22 @@ class Shard:
         self.admission = AdmissionController(
             admission, shard=name, events=events, registry=registry
         )
-        self.supervisor = self._make_supervisor(self.worker_estimator)
+        self.supervisor = WorkerSupervisor(
+            name,
+            self.worker_estimator,
+            num_workers,
+            policy=policy,
+            request_timeout_seconds=request_timeout_seconds,
+            heartbeat_timeout_seconds=heartbeat_timeout_seconds,
+            mode=mode,
+            arena=arena,
+            seed=seed,
+            events=events,
+            registry=registry,
+            telemetry=telemetry,
+        )
         self.fallback_mode = False
         self.stats = ShardStats()
-
-    def _make_supervisor(
-        self, estimator: CardinalityEstimator
-    ) -> WorkerSupervisor:
-        request_timeout, heartbeat_timeout = self._timeouts
-        return WorkerSupervisor(
-            self.name,
-            estimator,
-            self._num_workers,
-            policy=self._policy,
-            request_timeout_seconds=request_timeout,
-            heartbeat_timeout_seconds=heartbeat_timeout,
-            mode=self._mode,
-            transport=self._transport,
-            arena=self._arena,
-            seed=self._seed,
-            events=self._events,
-            registry=self._registry,
-            telemetry=self.telemetry,
-        )
 
     def start(self) -> None:
         self.supervisor.start()
@@ -483,25 +458,18 @@ class Shard:
         *,
         generation: ArenaGeneration | None = None,
     ) -> None:
-        """Hot-swap this shard to ``candidate``, zero-copy when possible.
+        """Hot-swap this shard to ``candidate``; never raises.
 
-        The live path publishes nothing and reforks nothing: the
-        supervisor points its running workers at an arena generation
-        (pre-published by the router, or published here) with a tiny
-        control frame.  Pools that cannot live-swap — inline mode, pipe
-        transport, a drained supervisor — fall back to the original
-        drain → refork path.  Either way ``replace_primary`` bumps the
+        The supervisor points its running workers at an arena generation
+        (pre-published by the router, or published by the supervisor)
+        with a tiny control frame; an inline or not-started pool just
+        adopts the candidate.  ``replace_primary`` then bumps the
         shard's cache generation (no stale estimate from the old model
         can be served under the new one) and the shard's semantic-cache
         slice rolls to a fresh epoch.
         """
         if self.supervisor.swap_model(candidate, generation=generation):
-            self.swap_stats["arena_swaps"] += 1
-        else:
-            self.supervisor.drain()
-            self.supervisor = self._make_supervisor(candidate)
-            self.supervisor.start()
-            self.swap_stats["refork_swaps"] += 1
+            self.arena_swaps += 1
         self.fallback_service.replace_primary(candidate)
         self.estimator = candidate
         self.fallback_mode = False
@@ -545,7 +513,7 @@ class ShardRouter:
         admission: AdmissionConfig | None = None,
         policy: RetryPolicy | None = None,
         mode: str = "auto",
-        transport: str = "auto",
+        transport: str = "shm",
         semantic_cache: SemanticEstimateCache | int | None = None,
         request_timeout_seconds: float = 5.0,
         heartbeat_timeout_seconds: float = 1.0,
@@ -561,6 +529,10 @@ class ShardRouter:
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
+        if transport != "shm":
+            # the shm ring is the only data plane; the argument remains
+            # so callers that name it keep working
+            raise ValueError(f"unknown transport {transport!r}; use shm")
         self.estimator = estimator
         self.guard = guard
         self._events = events
@@ -568,11 +540,10 @@ class ShardRouter:
         self.telemetry = telemetry
         self._slos = slos
         self._exemplars = exemplars
-        self.transport = transport
         #: one arena for the whole fleet: ``rolling_swap`` publishes a
         #: candidate once and every shard's workers attach the same
         #: segment.  Construction allocates nothing until the first
-        #: publish, so pipe/inline configurations pay nothing for it.
+        #: publish, so inline configurations pay nothing for it.
         self.arena = ModelArena()
         if isinstance(semantic_cache, int):
             # A row sample makes semantic hits interpolate empirically
@@ -607,7 +578,6 @@ class ShardRouter:
                 admission=admission,
                 policy=policy,
                 mode=mode,
-                transport=transport,
                 arena=self.arena,
                 semantic_view=view,
                 request_timeout_seconds=request_timeout_seconds,
@@ -784,20 +754,24 @@ class ShardRouter:
         if probe_queries is None and gate is not None:
             probe_queries = gate.validation_queries[:8]
 
+        try:
+            # One publish for the whole fleet: every shard's workers
+            # attach the same segment.
+            generation = self._publish(candidate)
+        except ArenaError as exc:
+            self._obs_events().emit("shard.swap_publish_failed", error=str(exc))
+            self._count_swap("publish_failed")
+            return RollingSwapReport(
+                promoted=False,
+                rolled_back=False,
+                gate_report=gate_report,
+                reason=f"arena publish failed: {exc}",
+            )
         swapped: list[str] = []
-        # One publish for the whole fleet: every live-swapping shard
-        # attaches the same segment.  ``None`` (pipe transport, inline
-        # mode, not started) lets each shard take its refork path.
-        generation = self._publish_generation(candidate)
         for name, shard in self.shards.items():
             shard.swap_model(candidate, generation=generation)
             if probe_queries is not None and not shard.probe(probe_queries):
-                # Roll back this shard and every previously swapped one.
-                rollback_generation = self._publish_generation(incumbent)
-                for back in [*swapped, name]:
-                    self.shards[back].swap_model(
-                        incumbent, generation=rollback_generation
-                    )
+                self._roll_back(incumbent, [*swapped, name])
                 self._obs_events().emit(
                     "shard.swap_rollback", failed_shard=name, swapped=swapped
                 )
@@ -822,34 +796,45 @@ class ShardRouter:
             reason="promoted",
         )
 
-    def _publish_generation(
-        self, model: CardinalityEstimator
-    ) -> ArenaGeneration | None:
-        """Publish ``model`` once for the fleet, when a live swap can use it.
-
-        Returns ``None`` when no shard could attach it anyway (pipe
-        transport, inline mode, supervisors not started) or when shared
-        memory is unavailable — every shard then reforks as before.
-        """
+    def _publish(self, model: CardinalityEstimator) -> ArenaGeneration | None:
+        """Publish ``model`` once for the fleet; None when no shard has
+        live forked workers to attach it (inline or not started)."""
         sup = next(iter(self.shards.values())).supervisor
-        if not (sup.started and sup.mode == "fork" and sup.transport == "shm"):
+        if not (sup.started and sup.mode == "fork"):
             return None
+        return self.arena.publish(model)
+
+    def _roll_back(self, incumbent: CardinalityEstimator, names: list[str]) -> None:
+        """Swap ``names`` back to the incumbent.
+
+        When the incumbent cannot be published, each shard's supervisor
+        tries its own publish and, failing that too, fails its live
+        workers — their restarts fork the incumbent from parent memory.
+        """
         try:
-            return self.arena.publish(model)
-        except ArenaError:
-            return None
+            generation = self._publish(incumbent)
+        except ArenaError as exc:
+            self._obs_events().emit("shard.swap_publish_failed", error=str(exc))
+            generation = None
+        for name in names:
+            self.shards[name].swap_model(incumbent, generation=generation)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, ShardStats]:
         return {name: shard.stats for name, shard in self.shards.items()}
 
     def swap_stats(self) -> dict[str, int]:
-        """Fleet-wide swap-path counters (summed over shards)."""
-        total = {"arena_swaps": 0, "refork_swaps": 0, "model_pickles": 0}
-        for shard in self.shards.values():
-            for key, value in shard.swap_stats.items():
-                total[key] += value
-        return total
+        """Fleet-wide swap counters.
+
+        ``arena_swaps`` sums the shards' arena swaps.  ``model_pickles``
+        is constant 0: a worker gets its model through fork memory or an
+        arena attach, and lint rule 7 keeps any other payload off the
+        pipes.  It stays for readers of the counter set.
+        """
+        return {
+            "arena_swaps": sum(s.arena_swaps for s in self.shards.values()),
+            "model_pickles": 0,
+        }
 
     def totals(self) -> ShardStats:
         total = ShardStats()

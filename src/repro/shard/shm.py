@@ -1,7 +1,7 @@
 """Shared-memory model arena and slot ring for the zero-copy data plane.
 
-Two pieces of process-shared plumbing back the sharded serving tier's
-``transport="shm"`` mode:
+Two pieces of process-shared plumbing are the data plane of the sharded
+serving tier's forked worker pools:
 
 * :class:`ModelArena` — publishes each model *generation* into a
   ``multiprocessing.shared_memory`` segment: a fixed header (magic,
@@ -15,9 +15,10 @@ Two pieces of process-shared plumbing back the sharded serving tier's
   unlinks retired segments once the last reference drops.
 
 * :class:`ShmRing` — a preallocated ring of fixed-size request/response
-  slots in one shared segment.  The parent owns the free list; workers
-  inherit the mapping over ``fork`` and read/write slots they are
-  handed via pipe control frames (see :mod:`repro.shard.codec`).
+  slots in one shared segment, the only path a query batch takes to a
+  forked worker.  The parent owns the free list; workers inherit the
+  mapping over ``fork`` and read/write slots they are handed via pipe
+  control frames (see :mod:`repro.shard.codec`).
 
 Both are fork-first by design: segments are created by the parent
 before (or while) workers exist, children inherit the resource-tracker

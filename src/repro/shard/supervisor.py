@@ -4,8 +4,8 @@ Each shard of :class:`~repro.shard.router.ShardRouter` owns a
 :class:`WorkerSupervisor` over ``num_workers`` **forked** worker
 processes.  Workers inherit the fitted model through fork memory —
 zero per-worker load cost, the same trick :mod:`repro.parallel` uses —
-and answer query batches over a duplex pipe.  The supervisor is the
-robustness boundary:
+and answer query batches steered by control frames on a duplex pipe.
+The supervisor is the robustness boundary:
 
 * **Crash containment.**  A worker that dies mid-batch (OOM kill,
   segfault, :class:`~repro.faults.WorkerCrashFault`) is observed as a
@@ -41,20 +41,21 @@ its deadline has passed since.  :meth:`~WorkerSupervisor.dispatch` is
 dispatch semantics — the determinism reference for the bit-identity
 check, and the automatic degradation on platforms without ``fork``.
 
-**Transports.**  ``transport="shm"`` (the default under ``fork``) is
-the zero-copy data plane: query batches are encoded by
-:mod:`repro.shard.codec` into a :class:`~repro.shard.shm.ShmRing`
-slot, the pipe carries only a fixed-size ``("serve_slot", id, slot,
-nbytes)`` control frame, and the worker overwrites the slot with the
-result frame.  Model swaps ride the same plane: the supervisor's
-:meth:`~WorkerSupervisor.swap_model` publishes the candidate to a
-:class:`~repro.shard.shm.ModelArena` generation and sends each live
-worker a tiny ``("swap", generation, segment)`` frame — workers attach
-read-only tensor views, so a rolling swap never re-pickles a model and
-never reforks a live worker.  ``transport="pipe"`` keeps the original
-pickled-object path (also the per-request fallback when a batch
-overflows its ring slot), which lets the chaos matrix assert
-bit-identical answers across transports.
+**Data plane.**  A forked pool moves every batch through a
+:class:`~repro.shard.shm.ShmRing` slot: :mod:`repro.shard.codec`
+encodes the queries into the slot, the pipe carries only a fixed-size
+``("serve_slot", id, slot, nbytes)`` control frame, and the worker
+overwrites the slot with its result frame.  A worker holds at most one
+slot at a time.  A batch that does not fit a slot, or finds no free
+worker, is not dispatched at all: its ticket settles with
+``values=None`` and the shard's in-process fallback chain answers it
+(counted in ``transport_stats["shm_overflows"]`` when the slot was the
+reason).  Model swaps ride the same plane:
+:meth:`~WorkerSupervisor.swap_model` points each live worker at a
+:class:`~repro.shard.shm.ModelArena` generation with a tiny
+``("swap", generation, segment)`` frame — workers attach read-only
+tensor views, so a swap never pickles a model over a pipe and never
+replaces a healthy worker process.
 
 **Telemetry** (on by default): each worker installs a
 :class:`~repro.obs.transport.TelemetryCapture` after the fork and
@@ -102,8 +103,8 @@ from .codec import (
 )
 from .shm import ArenaError, ArenaGeneration, ModelArena, ShmRing
 
-#: Default byte size of one ring slot; batches that encode larger fall
-#: back to the pipe path for that request (counted, never dropped).
+#: Default byte size of one ring slot; a batch that encodes larger is
+#: answered by the shard's fallback chain instead (counted, never dropped).
 DEFAULT_SLOT_BYTES = 1 << 20
 
 #: Worker lifecycle states (the gauge's ``state`` label).
@@ -123,18 +124,16 @@ def _worker_main(
 ) -> None:
     """Worker body: answer serve/ping/swap messages until told to stop.
 
-    Estimator exceptions are shipped back as data (the worker survives
-    them); a crash fault calls ``os._exit`` underneath us and the parent
-    observes the dead pipe.
-
-    Under ``transport="shm"`` batches arrive as ``serve_slot`` control
-    frames naming a slot of the fork-inherited ``ring``; the worker
-    decodes the query frame in place, overwrites the slot with its
-    result frame, and acks with another fixed-size control frame.
-    ``swap`` frames point the worker at a new
-    :class:`~repro.shard.shm.ModelArena` generation: it attaches
-    read-only tensor views and drops its previous attachment — the
-    model itself never crosses the pipe.
+    Batches arrive as ``serve_slot`` control frames naming a slot of the
+    fork-inherited ``ring``; the worker decodes the query frame in
+    place, overwrites the slot with its result frame, and acks with
+    another fixed-size control frame.  Estimator exceptions (and frames
+    that do not decode) are shipped back as ``error`` replies — the
+    worker survives them; a crash fault calls ``os._exit`` underneath
+    us and the parent observes the dead pipe.  ``swap`` frames point
+    the worker at a new :class:`~repro.shard.shm.ModelArena`
+    generation: it attaches read-only tensor views and drops its
+    previous attachment — the model itself never crosses the pipe.
 
     With ``telemetry`` on, the worker resets its fork-copied telemetry
     singletons, installs a delta capture, and attaches a snapshot to
@@ -148,10 +147,11 @@ def _worker_main(
     if telemetry:
         capture = install_worker_capture(shard=shard, worker=worker_name)
 
-    def answer(request_id: int, queries, trace_ctx, slot: int | None) -> None:
-        if trace_ctx is not None:
-            set_trace_context(*trace_ctx)
+    def serve(request_id: int, slot: int, nbytes: int) -> None:
         try:
+            queries, trace_ctx = unpack_queries(ring.slot_view(slot)[:nbytes])
+            if trace_ctx is not None:
+                set_trace_context(*trace_ctx)
             values = np.asarray(
                 estimator.estimate_many(queries), dtype=np.float64
             )
@@ -165,44 +165,25 @@ def _worker_main(
                     WORKER_QUERIES,
                     "Queries answered by worker processes",
                 ).inc(len(queries), worker=worker_name)
-            snap = capture.take() if capture is not None else None
-            if slot is not None:
-                nbytes = pack_results(
-                    values, np.zeros(len(queries), dtype=np.uint8), ring.slot_view(slot)
-                )
-                conn.send(("result_slot", request_id, slot, nbytes, snap))
-            else:
-                conn.send(("result", request_id, values, snap))
+            nbytes = pack_results(
+                values, np.zeros(len(queries), dtype=np.uint8), ring.slot_view(slot)
+            )
         except Exception as exc:  # lint-ok: error shipped to parent
             snap = capture.take() if capture is not None else None
             conn.send(
                 ("error", request_id, f"{type(exc).__name__}: {exc}", snap)
             )
+            return
+        snap = capture.take() if capture is not None else None
+        conn.send(("result_slot", request_id, slot, nbytes, snap))
 
     try:
         while True:
             message = conn.recv()
             op = message[0]
-            if op == "serve":
-                _, request_id, queries, trace_ctx = message
-                answer(request_id, queries, trace_ctx, None)
-            elif op == "serve_slot":
+            if op == "serve_slot":
                 _, request_id, slot, nbytes = message
-                try:
-                    queries, trace_ctx, _tenants = unpack_queries(
-                        ring.slot_view(slot)[:nbytes]
-                    )
-                except (CodecError, ValueError) as exc:
-                    conn.send(
-                        (
-                            "error",
-                            request_id,
-                            f"{type(exc).__name__}: {exc}",
-                            capture.take() if capture is not None else None,
-                        )
-                    )
-                    continue
-                answer(request_id, queries, trace_ctx, slot)
+                serve(request_id, slot, nbytes)
             elif op == "swap":
                 _, generation, segment_name = message
                 try:
@@ -240,9 +221,9 @@ class _Worker:
     last_heartbeat: float = 0.0
     #: clock() time before which the next restart must not happen
     restart_at: float = 0.0
-    #: ring slot currently in flight to this worker (shm transport); the
-    #: parent reclaims it on reply — or in ``_fail`` after the kill, so
-    #: a dead worker can never leak (or scribble) a recycled slot
+    #: ring slot of the batch in flight to this worker (None = idle);
+    #: the parent reclaims it on reply — or in ``_fail`` after the kill,
+    #: so a dead worker can never leak (or scribble) a recycled slot
     slot: int | None = None
 
 
@@ -257,10 +238,12 @@ class DispatchTicket:
     #: workers tried so far (>1 means the batch was re-dispatched)
     attempts: int = 0
     tried: set[int] = field(default_factory=set)
-    #: worker holding the current attempt; None once every live worker
-    #: has been tried
+    #: worker holding the current attempt; None once no untried worker
+    #: is free, or when the batch does not fit a ring slot
     worker: _Worker | None = None
     request_id: int = 0
+    #: length of the request frame packed into the worker's slot
+    nbytes: int = 0
     #: monotonic() time the current attempt times out
     deadline: float = 0.0
 
@@ -291,7 +274,6 @@ class WorkerSupervisor:
         request_timeout_seconds: float = 5.0,
         heartbeat_timeout_seconds: float = 1.0,
         mode: str = "auto",
-        transport: str = "auto",
         slot_bytes: int = DEFAULT_SLOT_BYTES,
         arena: ModelArena | None = None,
         seed: int = 0,
@@ -304,10 +286,6 @@ class WorkerSupervisor:
             raise ValueError("num_workers must be at least 1")
         if mode not in ("auto", "fork", "inline"):
             raise ValueError(f"unknown mode {mode!r}; use auto, fork, or inline")
-        if transport not in ("auto", "shm", "pipe"):
-            raise ValueError(
-                f"unknown transport {transport!r}; use auto, shm, or pipe"
-            )
         if request_timeout_seconds <= 0.0 or heartbeat_timeout_seconds <= 0.0:
             raise ValueError("timeouts must be positive")
         fork_available = "fork" in multiprocessing.get_all_start_methods()
@@ -315,22 +293,19 @@ class WorkerSupervisor:
             raise RuntimeError("fork start method unavailable on this platform")
         if mode == "auto":
             mode = "fork" if fork_available else "inline"
-        if transport == "auto":
-            transport = "shm"
-        if mode != "fork":
-            transport = "pipe"  # inline dispatch never crosses a process
         self.shard = shard
         self.estimator = estimator
         self.mode = mode
-        self.transport = transport
         self.slot_bytes = slot_bytes
         self._ring: ShmRing | None = None
         self._arena = arena
         self._arena_owned = False
         self._generation: ArenaGeneration | None = None
-        #: data-plane counters: how batches actually travelled, plus the
-        #: slots reclaimed from killed workers (satellite of the chaos
-        #: matrix's no-leak invariant)
+        #: data-plane counters: batches sent through the ring, batches
+        #: that did not fit a slot (the fallback chain answered them),
+        #: and slots reclaimed from killed workers (the chaos matrix's
+        #: no-leak invariant).  ``pipe_batches`` stays 0 — no batch
+        #: crosses a pipe — and is kept for readers of the counter set.
         self.transport_stats = {
             "shm_batches": 0,
             "pipe_batches": 0,
@@ -362,7 +337,7 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Fork the initial pool (call after the model is fitted)."""
-        if self.transport == "shm" and self._ring is None:
+        if self.mode == "fork" and self._ring is None:
             # the ring must exist before the first fork so every worker
             # inherits the mapping
             self._ring = ShmRing(len(self._workers) + 2, self.slot_bytes)
@@ -511,18 +486,30 @@ class WorkerSupervisor:
         return self.collect(self.submit(queries, trace_ctx))
 
     def _pick(self, tried: set[int]) -> _Worker | None:
+        """The next live, untried worker with no batch in flight."""
         n = len(self._workers)
         for offset in range(n):
             worker = self._workers[(self._next + offset) % n]
-            if worker.state == LIVE and worker.index not in tried:
+            if (
+                worker.state == LIVE
+                and worker.slot is None
+                and worker.index not in tried
+            ):
                 self._next = (worker.index + 1) % n
                 return worker
         return None
 
     def _send_next(self, ticket: DispatchTicket) -> None:
-        """Hand the batch to the next untried live worker, if any is left."""
+        """Hand the batch to the next free untried worker, if any is left.
+
+        Leaves ``ticket.worker`` None when no worker is free or the batch
+        does not fit a ring slot; :meth:`collect` then settles the
+        ticket with ``values=None`` and no worker is failed.
+        """
         while True:
             worker = self._pick(ticket.tried)
+            if worker is not None and not self._pack(worker, ticket):
+                worker = None
             ticket.worker = worker
             if worker is None:
                 return
@@ -531,47 +518,48 @@ class WorkerSupervisor:
             if self._send(worker, ticket):
                 return
 
+    def _pack(self, worker: _Worker, ticket: DispatchTicket) -> bool:
+        """Encode the batch into a ring slot held by ``worker``.
+
+        Inline workers need no slot.  False (counted as an overflow)
+        when no slot is free or the frame does not encode into one.
+        """
+        if self.mode == "inline":
+            return True
+        slot = self._ring.acquire()
+        if slot is not None:
+            try:
+                ticket.nbytes = pack_queries(
+                    ticket.queries,
+                    self._ring.slot_view(slot),
+                    trace_ctx=ticket.trace_ctx,
+                )
+            except CodecError:
+                self._ring.release(slot)
+            else:
+                worker.slot = slot
+                return True
+        self.transport_stats["shm_overflows"] += 1
+        return False
+
     def _send(self, worker: _Worker, ticket: DispatchTicket) -> bool:
-        """Send the batch to ``worker``; False (worker failed) on error.
+        """Send the slot's control frame; False (worker failed) on error.
 
         A forked worker's deadline starts at this send.  Inline workers
         have nothing to send: they answer in :meth:`_receive`.
         """
         if self.mode == "inline":
             return True
-        queries = ticket.queries
         self._request_id += 1
         ticket.request_id = self._request_id
-
-        slot = None
-        if self.transport == "shm" and self._ring is not None:
-            slot = self._ring.acquire()
-            if slot is not None:
-                try:
-                    nbytes = pack_queries(
-                        queries,
-                        self._ring.slot_view(slot),
-                        trace_ctx=ticket.trace_ctx,
-                    )
-                except CodecError:
-                    # batch too large for a slot (or unencodable ids):
-                    # this request rides the pickle path instead
-                    self._ring.release(slot)
-                    slot = None
-                    self.transport_stats["shm_overflows"] += 1
         try:
-            if slot is not None:
-                worker.slot = slot
-                worker.conn.send(("serve_slot", ticket.request_id, slot, nbytes))
-                self.transport_stats["shm_batches"] += 1
-            else:
-                worker.conn.send(
-                    ("serve", ticket.request_id, queries, ticket.trace_ctx)
-                )
-                self.transport_stats["pipe_batches"] += 1
+            worker.conn.send(
+                ("serve_slot", ticket.request_id, worker.slot, ticket.nbytes)
+            )
         except (BrokenPipeError, EOFError, OSError):
             self._fail(worker, "crash", detail="pipe closed on send")
             return False
+        self.transport_stats["shm_batches"] += 1
         ticket.deadline = monotonic() + self.request_timeout_seconds
         return True
 
@@ -596,10 +584,6 @@ class WorkerSupervisor:
                 self._fail(worker, "crash", detail="pipe closed mid-request")
                 return None
             kind = message[0]
-            if kind == "result" and message[1] == ticket.request_id:
-                worker.last_heartbeat = self._clock()
-                self._merge_snapshot(message)
-                return message[2]
             if kind == "result_slot" and message[1] == ticket.request_id:
                 worker.last_heartbeat = self._clock()
                 self._merge_snapshot(message, index=4)
@@ -613,9 +597,8 @@ class WorkerSupervisor:
                 # The worker survived; its estimator raised.  The worker
                 # stays live (the model is broken, not the process) and
                 # the caller degrades this batch.
-                if worker.slot is not None:
-                    self._ring.release(worker.slot)
-                    worker.slot = None
+                self._ring.release(worker.slot)
+                worker.slot = None
                 worker.last_heartbeat = self._clock()
                 self._merge_snapshot(message, index=3)
                 self._obs_events().emit(
@@ -657,7 +640,7 @@ class WorkerSupervisor:
             )
         return values
 
-    def _merge_snapshot(self, message: tuple, index: int = 3) -> None:
+    def _merge_snapshot(self, message: tuple, index: int) -> None:
         if len(message) > index and message[index] is not None:
             self.merger.merge(message[index])
 
@@ -667,49 +650,53 @@ class WorkerSupervisor:
     def swap_model(
         self, candidate: CardinalityEstimator, *, generation: ArenaGeneration | None = None
     ) -> bool:
-        """Point live workers at ``candidate`` without reforking them.
+        """Serve ``candidate`` from now on; never raises.
 
-        Publishes the candidate to the arena (unless the caller — the
-        shard router — already did, publishing once for all shards) and
-        sends each live worker a control-frame ``swap``.  Workers attach
-        read-only tensor views; the model itself never crosses a pipe.
-        A worker that cannot swap is failed and its restart refork
-        inherits the candidate from parent memory.
+        An inline or not-started pool just adopts the candidate: inline
+        workers call it directly, and the next fork inherits it.  A
+        started fork pool takes the arena path: the candidate is
+        published to the arena (unless the caller — the shard router —
+        already did, publishing once for all shards) and each live
+        worker gets a control-frame ``swap``.  Workers attach read-only
+        tensor views; the model itself never crosses a pipe.  A worker
+        that cannot swap is failed, and its restart forks the candidate
+        from parent memory — as does every live worker when the arena
+        cannot publish or hold the generation.
 
-        Returns ``False`` when this pool cannot live-swap (inline mode,
-        pipe transport, or not started) — the caller falls back to the
-        drain-and-refork path.
+        Returns True when the live workers were pointed at an arena
+        generation.
         """
-        if not self.started or self.mode != "fork" or self.transport != "shm":
+        self.estimator = candidate  # every fork from here on inherits it
+        if not self.started or self.mode != "fork":
             return False
-        if generation is not None and self._arena is None:
-            raise ValueError(
-                "a pre-published generation needs the publishing arena "
-                "wired into this supervisor"
-            )
         if self._arena is None:
             self._arena = ModelArena()
             self._arena_owned = True
-        if generation is None:
-            generation = self._arena.publish(candidate)
-        self._arena.acquire(generation)
-        # Reforks from here on inherit the candidate through fork memory.
-        self.estimator = candidate
-        swapped = 0
-        for worker in self._workers:
-            if worker.state == LIVE and self._swap_worker(worker, generation):
-                swapped += 1
         previous = self._generation
+        try:
+            if generation is None:
+                generation = self._arena.publish(candidate)
+            self._arena.acquire(generation)
+        except ArenaError as exc:
+            generation = None
+            for worker in self._workers:
+                if worker.state == LIVE:
+                    self._fail(worker, "error", detail=f"arena unavailable: {exc}")
+        else:
+            swapped = 0
+            for worker in self._workers:
+                if worker.state == LIVE and self._swap_worker(worker, generation):
+                    swapped += 1
+            self._obs_events().emit(
+                "shard.arena_swap",
+                shard=self.shard,
+                generation=generation.generation,
+                workers=swapped,
+            )
         self._generation = generation
         if previous is not None:
             self._arena.release(previous)
-        self._obs_events().emit(
-            "shard.arena_swap",
-            shard=self.shard,
-            generation=generation.generation,
-            workers=swapped,
-        )
-        return True
+        return generation is not None
 
     def _swap_worker(self, worker: _Worker, generation: ArenaGeneration) -> bool:
         try:
@@ -748,7 +735,7 @@ class WorkerSupervisor:
         if self.mode == "inline":
             return
         for worker in list(self._workers):
-            if worker.state != LIVE:
+            if worker.state != LIVE or worker.slot is not None:
                 continue
             if worker.process is not None and not worker.process.is_alive():
                 self._fail(worker, "crash", detail="found dead by heartbeat")
@@ -775,7 +762,7 @@ class WorkerSupervisor:
         self.restart_due()
 
     def restart_due(self) -> int:
-        """Refork every worker whose backoff window has passed."""
+        """Fork a fresh process for every worker whose backoff has passed."""
         restarted = 0
         now = self._clock()
         for worker in self._workers:
@@ -841,7 +828,7 @@ class WorkerSupervisor:
 
     @property
     def ring_free_count(self) -> int | None:
-        """Free ring slots (``None`` when the pipe transport is active)."""
+        """Free ring slots (``None`` for an inline or drained pool)."""
         return None if self._ring is None else self._ring.free_count
 
     @property

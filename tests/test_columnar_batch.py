@@ -59,7 +59,7 @@ def random_query(rng: np.random.Generator, num_columns: int) -> Query:
 def decode(queries: list[Query]) -> QueryBatch:
     buf = bytearray(1 << 18)
     used = pack_queries(queries, buf)
-    batch, _, _ = unpack_queries(buf[:used])
+    batch, _ = unpack_queries(buf[:used])
     return batch
 
 

@@ -105,12 +105,10 @@ SEND_MODULES = ("codec.py", "supervisor.py")
 #: parent -> worker requests and worker -> parent replies.  A frame's
 #: first tuple element must be one of these string constants.
 CONTROL_OPS = {
-    "serve",
     "serve_slot",
     "ping",
     "stop",
     "swap",
-    "result",
     "result_slot",
     "error",
     "pong",
@@ -629,8 +627,19 @@ class TestLintRules:
         assert self.check(snippet, is_shard=True, allow_control=True) == ["send"]
 
     def test_accepts_control_frame_in_data_plane(self):
-        snippet = "conn.send(('result', request_id, values, snap))\n"
+        snippet = "conn.send(('result_slot', request_id, slot, nbytes, snap))\n"
         assert self.check(snippet, is_shard=True, allow_control=True) == []
+
+    def test_flags_pickled_batch_frame_in_data_plane(self):
+        # Query batches and answers cross only through the shm ring: a
+        # frame that carries them over the pipe is no control frame.
+        for snippet in (
+            "conn.send(('serve', request_id, queries, trace_ctx))\n",
+            "conn.send(('result', request_id, values, snap))\n",
+        ):
+            assert self.check(
+                snippet, is_shard=True, allow_control=True
+            ) == ["send"]
 
     def test_flags_unknown_op_in_data_plane(self):
         snippet = "conn.send(('upload_model', weights))\n"
@@ -643,7 +652,7 @@ class TestLintRules:
         assert self.check(snippet, is_shard=True, allow_control=True) == ["send"]
 
     def test_flags_keyword_send_in_data_plane(self):
-        snippet = "conn.send(('serve', batch), flags=0)\n"
+        snippet = "conn.send(('serve_slot', request_id, slot, nbytes), flags=0)\n"
         assert self.check(snippet, is_shard=True, allow_control=True) == ["send"]
 
     def test_send_accepts_pragma(self):

@@ -2,16 +2,18 @@
 
 Covers the shared-memory model arena (publish / attach / refcounted
 unlink), the binary batch codec (seeded round-trip properties including
-NaN/inf bounds and empty batches), the shm ring transport against the
-pipe fallback (bit-identity, overflow fallback, crash slot reclaim),
-zero-copy live swaps (stable worker PIDs, no model re-pickles), and the
-router-shared semantic cache.
+NaN/inf bounds and empty batches), the shm ring data plane (bit-identity
+against inline dispatch, oversized batches answered by the fallback
+chain, one batch per worker, crash slot reclaim), zero-copy live swaps
+(stable worker PIDs, one candidate pickle, arena failures that never
+escape a rolling swap), and the router-shared semantic cache.
 """
 
 import math
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ import pytest
 from repro.core import CardinalityEstimator, Predicate, Query
 from repro.core.query import QueryBatch
 from repro.estimators.learned import MscnEstimator
-from repro.faults import WorkerCrashFault
+from repro.faults import NaNFault, WorkerCrashFault
 from repro.lifecycle.retrain import RetryPolicy
+from repro.obs import SHARD_SWAPS, MetricsRegistry
 from repro.shard import (
+    ArenaError,
     ModelArena,
     ShardRequest,
     ShardRouter,
@@ -223,14 +227,8 @@ class TestCodecProperties:
                     int(rng.integers(0, 2**63)) if rng.random() < 0.5 else None
                 )
                 trace_ctx = (int(rng.integers(0, 2**63)), parent)
-            tenants = None
-            if rng.random() < 0.5:
-                tenants = [
-                    ["", "alpha", "tenant-β", "日本語"][int(rng.integers(4))]
-                    for _ in range(n)
-                ]
-            used = pack_queries(batch, buf, trace_ctx=trace_ctx, tenants=tenants)
-            got, got_trace, got_tenants = unpack_queries(buf[:used])
+            used = pack_queries(batch, buf, trace_ctx=trace_ctx)
+            got, got_trace = unpack_queries(buf[:used])
             assert len(got) == n
             for query, round_tripped in zip(batch, got):
                 assert len(round_tripped.predicates) == len(query.predicates)
@@ -239,7 +237,6 @@ class TestCodecProperties:
                     self.assert_bounds_equal(p.lo, q.lo)
                     self.assert_bounds_equal(p.hi, q.hi)
             assert got_trace == trace_ctx
-            assert got_tenants == tenants
             cases += max(n, 1)
 
     def test_result_round_trip_nan_inf(self):
@@ -260,8 +257,8 @@ class TestCodecProperties:
     def test_empty_batch_round_trips(self):
         buf = bytearray(256)
         used = pack_queries([], buf)
-        got, trace, tenants = unpack_queries(buf[:used])
-        assert got == [] and trace is None and tenants is None
+        got, trace = unpack_queries(buf[:used])
+        assert got == [] and trace is None
         used = pack_results(np.zeros(0), np.zeros(0, dtype=np.uint8), buf)
         values, codes = unpack_results(buf[:used])
         assert values.size == 0 and codes.size == 0
@@ -283,7 +280,7 @@ class TestCodecProperties:
 def two_query_frame() -> tuple[bytearray, int]:
     """A valid frame of two queries over columns (0, 1) and (2,).
 
-    Without trace or tenants the layout is: 16-byte header, u32 counts
+    Without a trace context the layout is: 16-byte header, u32 counts
     at 16, u32 cols at 24, u8 pflags at 36.
     """
     buf = bytearray(256)
@@ -325,7 +322,7 @@ class TestCodecValidation:
 
     def test_two_query_frame_is_valid(self):
         buf, used = two_query_frame()
-        batch, _, _ = unpack_queries(bytes(buf[:used]))
+        batch, _ = unpack_queries(bytes(buf[:used]))
         assert batch == [
             Query((Predicate(0, 1.0, 2.0), Predicate(1, None, 3.0))),
             Query((Predicate(2, 4.0, None),)),
@@ -449,7 +446,7 @@ class TestShmRing:
 
 
 # ----------------------------------------------------------------------
-# Supervisor transports
+# Supervisor data plane
 # ----------------------------------------------------------------------
 @needs_fork
 class TestSupervisorTransports:
@@ -459,7 +456,7 @@ class TestSupervisorTransports:
             "s0",
             estimator,
             kwargs.pop("num_workers", 2),
-            mode="fork",
+            mode=kwargs.pop("mode", "fork"),
             policy=kwargs.pop(
                 "policy",
                 RetryPolicy(
@@ -473,25 +470,22 @@ class TestSupervisorTransports:
         supervisor.start()
         return supervisor
 
-    def test_shm_and_pipe_answers_bit_identical(self, tiny_table):
+    def test_shm_and_inline_answers_bit_identical(self, tiny_table):
         batch = queries_for(32)
         answers = {}
-        for transport in ("pipe", "shm"):
-            supervisor = self.make(
-                TensorEstimator(4.25), tiny_table, transport=transport
-            )
+        for mode in ("inline", "fork"):
+            supervisor = self.make(TensorEstimator(4.25), tiny_table, mode=mode)
             try:
                 result = supervisor.dispatch(batch)
                 assert result.values is not None
-                assert supervisor.transport == transport
-                answers[transport] = np.asarray(result.values)
+                answers[mode] = np.asarray(result.values)
             finally:
                 supervisor.drain()
-        assert answers["pipe"].tobytes() == answers["shm"].tobytes()
+        assert answers["inline"].tobytes() == answers["fork"].tobytes()
         assert not repro_segments()
 
     def test_shm_transport_counts_batches(self, tiny_table):
-        supervisor = self.make(TensorEstimator(1.0), tiny_table, transport="shm")
+        supervisor = self.make(TensorEstimator(1.0), tiny_table)
         try:
             supervisor.dispatch(queries_for(8))
             supervisor.dispatch(queries_for(8))
@@ -500,21 +494,50 @@ class TestSupervisorTransports:
         finally:
             supervisor.drain()
 
-    def test_oversized_batch_falls_back_to_pipe(self, tiny_table):
-        # Slot too small for the frame: the dispatch must still answer,
-        # via the pickle path, and count the overflow.
-        supervisor = self.make(
-            TensorEstimator(2.5),
-            tiny_table,
-            transport="shm",
-            slot_bytes=128,
+    def test_oversized_batch_answered_by_fallback_chain(self, tiny_table):
+        # Slot too small for the frame: the batch never reaches the
+        # worker, the shard's fallback chain answers it, and the worker
+        # is not blamed for it.
+        router = ShardRouter(
+            TensorEstimator(2.5).fit(tiny_table),
+            [TensorEstimator(1.0, name="fallback").fit(tiny_table)],
+            num_shards=1,
+            mode="fork",
         )
-        try:
-            result = supervisor.dispatch(queries_for(16))
-            assert result.values is not None
-            np.testing.assert_array_equal(result.values, [2.5] * 16)
+        supervisor = router.shards["shard-0"].supervisor
+        supervisor.slot_bytes = 128  # the ring is sized at start
+        with router:
+            served = router.serve_queries(queries_for(16))
+            assert [s.estimate for s in served] == [2.5] * 16
+            assert all(s.tier == "tensor" for s in served)
+            assert router.totals().fallback_served == 16
+            assert supervisor.live_count == 1
+            assert supervisor.total_restarts == 0
             assert supervisor.transport_stats["shm_overflows"] == 1
-            assert supervisor.transport_stats["pipe_batches"] == 1
+            assert supervisor.transport_stats["shm_batches"] == 0
+            assert supervisor.ring_free_count == supervisor._ring.num_slots
+        assert not repro_segments()
+
+    def test_second_ticket_never_shares_a_busy_worker(self, tiny_table):
+        # Two batches in flight on a one-worker pool: the second finds no
+        # free worker and settles unanswered instead of overwriting the
+        # first batch's ring slot.
+        supervisor = self.make(TensorEstimator(3.5), tiny_table, num_workers=1)
+        try:
+            full = supervisor.ring_free_count
+            first = supervisor.submit(queries_for(4))
+            second = supervisor.submit(queries_for(6))
+            answered = supervisor.collect(first)
+            unanswered = supervisor.collect(second)
+            np.testing.assert_array_equal(answered.values, [3.5] * 4)
+            assert unanswered.values is None
+            assert unanswered.attempts == 0
+            assert supervisor.live_count == 1
+            assert supervisor.total_restarts == 0
+            assert supervisor.ring_free_count == full
+            # the worker serves the next batch as usual
+            again = supervisor.dispatch(queries_for(2))
+            np.testing.assert_array_equal(again.values, [3.5] * 2)
         finally:
             supervisor.drain()
 
@@ -527,7 +550,6 @@ class TestSupervisorTransports:
             crash,
             tiny_table,
             num_workers=1,
-            transport="shm",
             policy=RetryPolicy(
                 max_attempts=1,
                 backoff_base_seconds=0.01,
@@ -548,6 +570,44 @@ class TestSupervisorTransports:
 # ----------------------------------------------------------------------
 # Zero-copy live swap
 # ----------------------------------------------------------------------
+class PickleCountingEstimator(TensorEstimator):
+    """Counts every serialization of an instance made in this process."""
+
+    pickles = 0
+
+    def __reduce_ex__(self, protocol):
+        type(self).pickles += 1
+        return super().__reduce_ex__(protocol)
+
+
+def worker_pids(router) -> dict[str, list[int]]:
+    return {
+        name: [w.process.pid for w in shard.supervisor._workers if w.process]
+        for name, shard in router.shards.items()
+    }
+
+
+def swap_router(table, registry) -> ShardRouter:
+    """A 2-shard forked router over a 4.0 incumbent with fast restarts."""
+    return ShardRouter(
+        TensorEstimator(4.0).fit(table),
+        [TensorEstimator(1.0, name="fallback").fit(table)],
+        num_shards=2,
+        mode="fork",
+        policy=RetryPolicy(
+            max_attempts=2, backoff_base_seconds=0.01, backoff_cap_seconds=0.05
+        ),
+        registry=registry,
+    )
+
+
+def swap_outcomes(registry) -> dict[str, int]:
+    series = registry.counter(SHARD_SWAPS).snapshot()["series"]
+    return {
+        dict(entry["labels"])["outcome"]: int(entry["value"]) for entry in series
+    }
+
+
 @needs_fork
 class TestLiveSwap:
     def test_swap_keeps_worker_pids_and_model_changes(self, tiny_table):
@@ -567,49 +627,140 @@ class TestLiveSwap:
             supervisor.drain()
         assert not repro_segments()
 
-    def test_swap_model_refuses_pipe_transport(self, tiny_table):
+    def test_inline_swap_serves_candidate(self, tiny_table):
         supervisor = WorkerSupervisor(
-            "s0", TensorEstimator(1.0).fit(tiny_table), 1,
-            mode="fork", transport="pipe",
+            "s0", TensorEstimator(1.0).fit(tiny_table), 1, mode="inline"
         )
         supervisor.start()
         try:
-            assert not supervisor.swap_model(
-                TensorEstimator(2.0).fit(tiny_table)
-            )
+            # no arena generation is involved: the pool adopts the model
+            assert not supervisor.swap_model(TensorEstimator(2.0).fit(tiny_table))
+            result = supervisor.dispatch(queries_for(4))
+            np.testing.assert_array_equal(result.values, [2.0] * 4)
         finally:
             supervisor.drain()
+
+    def test_swap_before_start_is_inherited_by_the_fork(self, tiny_table):
+        supervisor = WorkerSupervisor(
+            "s0", TensorEstimator(1.0).fit(tiny_table), 1, mode="fork"
+        )
+        assert not supervisor.swap_model(TensorEstimator(6.0).fit(tiny_table))
+        supervisor.start()
+        try:
+            result = supervisor.dispatch(queries_for(4))
+            np.testing.assert_array_equal(result.values, [6.0] * 4)
+            assert supervisor.generation is None
+        finally:
+            supervisor.drain()
+        assert not repro_segments()
 
     def test_router_rolling_swap_is_zero_copy(self, tiny_table):
         primary = TensorEstimator(4.0).fit(tiny_table)
         fallback = TensorEstimator(1.0, name="fallback").fit(tiny_table)
         probes = queries_for(4)
-        router = ShardRouter(
-            primary, [fallback], num_shards=2, mode="fork", transport="shm"
-        )
+        router = ShardRouter(primary, [fallback], num_shards=2, mode="fork")
         with router:
-            pids = {
-                name: [w.process.pid for w in shard.supervisor._workers]
-                for name, shard in router.shards.items()
-            }
+            pids = worker_pids(router)
             report = router.rolling_swap(
                 TensorEstimator(7.0).fit(tiny_table), probe_queries=probes
             )
             assert report.promoted
-            stats = router.swap_stats()
-            # The acceptance counter: a promoted swap over the arena
-            # re-pickles nothing and reforks nothing.
-            assert stats["arena_swaps"] == 2
-            assert stats["refork_swaps"] == 0
-            assert stats["model_pickles"] == 0
-            for name, shard in router.shards.items():
-                assert pids[name] == [
-                    w.process.pid for w in shard.supervisor._workers
-                ]
+            # A promoted swap over the arena pickles no model over a
+            # pipe and keeps every worker process.
+            assert router.swap_stats() == {"arena_swaps": 2, "model_pickles": 0}
+            assert worker_pids(router) == pids
             # One publish served the whole fleet.
             assert router.arena.published == 1
             served = router.serve_queries(queries_for(8))
             assert [s.estimate for s in served] == [7.0] * 8
+        assert not repro_segments()
+
+    def test_rolling_swap_pickles_the_candidate_once(self, tiny_table):
+        primary = TensorEstimator(4.0).fit(tiny_table)
+        fallback = TensorEstimator(1.0, name="fallback").fit(tiny_table)
+        candidate = PickleCountingEstimator(7.0).fit(tiny_table)
+        router = ShardRouter(primary, [fallback], num_shards=2, mode="fork")
+        with router:
+            PickleCountingEstimator.pickles = 0
+            report = router.rolling_swap(candidate, probe_queries=queries_for(4))
+            assert report.promoted
+            # the arena publish is the only serialization: both shards'
+            # workers attach that one segment, nothing rides a pipe
+            assert PickleCountingEstimator.pickles == 1
+            assert router.arena.published == 1
+            served = router.serve_queries(queries_for(8))
+            assert [s.tier for s in served] == ["worker"] * 8
+            assert [s.estimate for s in served] == [7.0] * 8
+
+    def test_router_rejects_other_transports(self, tiny_table):
+        primary = TensorEstimator(4.0).fit(tiny_table)
+        with pytest.raises(ValueError, match="transport"):
+            ShardRouter(primary, [], mode="inline", transport="pipe")
+
+    def test_publish_failure_is_a_not_promoted_report(self, tiny_table, monkeypatch):
+        registry = MetricsRegistry()
+        router = swap_router(tiny_table, registry)
+        with router:
+            pids = worker_pids(router)
+
+            def refuse(model):
+                raise ArenaError("no space left on /dev/shm")
+
+            monkeypatch.setattr(router.arena, "publish", refuse)
+            report = router.rolling_swap(
+                TensorEstimator(7.0).fit(tiny_table), probe_queries=queries_for(4)
+            )
+            assert not report.promoted and not report.rolled_back
+            assert report.swapped == ()
+            assert "arena publish failed" in report.reason
+            assert "no space left" in report.reason
+            # no shard was touched: same workers, incumbent still serving
+            assert worker_pids(router) == pids
+            assert router.swap_stats()["arena_swaps"] == 0
+            served = router.serve_queries(queries_for(8))
+            assert [s.tier for s in served] == ["worker"] * 8
+            assert [s.estimate for s in served] == [4.0] * 8
+        assert swap_outcomes(registry) == {"publish_failed": 1}
+        assert not repro_segments()
+
+    def test_rollback_publish_failure_restarts_on_incumbent(
+        self, tiny_table, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        router = swap_router(tiny_table, registry)
+        with router:
+            pids = worker_pids(router)
+            publish = router.arena.publish
+            published = []
+
+            def candidate_only(model):
+                # the candidate publishes; the rollback's incumbent cannot
+                published.append(model)
+                if len(published) > 1:
+                    raise ArenaError("no space left on /dev/shm")
+                return publish(model)
+
+            monkeypatch.setattr(router.arena, "publish", candidate_only)
+            report = router.rolling_swap(
+                NaNFault(TensorEstimator(9.0), probability=1.0).fit(tiny_table),
+                probe_queries=queries_for(4),
+            )
+            assert report.rolled_back and not report.promoted
+            assert report.reason == "post-swap probe failed on shard-0"
+            # shard-0's workers could not attach the incumbent, so they
+            # were failed; shard-1 was never swapped
+            shard0 = router.shards["shard-0"].supervisor
+            assert shard0.live_count == 0
+            assert shard0.generation is None
+            assert worker_pids(router)["shard-1"] == pids["shard-1"]
+            # past the restart backoff every worker serves the incumbent
+            time.sleep(0.1)
+            served = router.serve_queries(queries_for(8))
+            assert [s.tier for s in served] == ["worker"] * 8
+            assert [s.estimate for s in served] == [4.0] * 8
+            assert worker_pids(router)["shard-0"] != pids["shard-0"]
+            assert shard0.live_count == 1
+        assert swap_outcomes(registry) == {"rolled_back": 1}
         assert not repro_segments()
 
 
