@@ -21,7 +21,6 @@ import pytest
 
 from repro.bench.scale_exp import (
     default_chaos_matrix,
-    format_scale,
     run_chaos_scenario,
     scale_experiment,
 )
@@ -44,17 +43,17 @@ EXPECTED_SCENARIOS = {
 
 
 @pytest.fixture(scope="module")
-def results(ctx, record_result, tmp_path_factory):
-    # The live run's JSON goes to a scratch dir: the committed
-    # BENCH_serve.json baseline is regenerated deliberately (at default
-    # scale), not as a side effect of a ci-scale benchmark run.
+def results(ctx, tmp_path_factory):
+    # The live run's JSON and table go to a scratch dir: the committed
+    # BENCH_serve.json and results/scale_serving.txt are regenerated
+    # deliberately (at default scale, ``python -m repro.bench scale``),
+    # not as a side effect of a ci-scale benchmark run.
     scratch = tmp_path_factory.mktemp("scale_serving")
     out = scale_experiment(
         ctx,
         json_path=scratch / "BENCH_serve.json",
         text_path=scratch / "scale_serving.txt",
     )
-    record_result("scale_serving", format_scale(out))
     return {r.scenario: r for r in out}
 
 

@@ -10,7 +10,6 @@ plain correlation misses.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 
 def _copula_transform(values: np.ndarray) -> np.ndarray:
@@ -34,6 +33,10 @@ def _max_canonical_correlation(
     fx: np.ndarray, fy: np.ndarray, regularization: float = 1e-6
 ) -> float:
     """Largest canonical correlation between two feature blocks."""
+    # scipy is imported on first use, not with the package: it adds
+    # ~40 MB to every process that imports repro.
+    from scipy import linalg
+
     n = fx.shape[0]
     fx = fx - fx.mean(axis=0)
     fy = fy - fy.mean(axis=0)

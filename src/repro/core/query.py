@@ -181,6 +181,27 @@ class PredicateArrays:
             hi_open=np.fromiter([v is None for v in his], bool, n),
         )
 
+    def take(self, positions: Sequence[int]) -> "PredicateArrays":
+        """The arrays of the queries at ``positions``, in that order
+        (equal to :meth:`of` of those queries)."""
+        positions = np.asarray(positions, dtype=np.int64)
+        arity = self.arity[positions]
+        starts = (np.cumsum(self.arity) - self.arity)[positions]
+        # Each picked query's predicates are the run at its start: shift
+        # the run offsets of the new layout onto the old ones.
+        rows = np.repeat(starts - (np.cumsum(arity) - arity), arity) + np.arange(
+            int(arity.sum())
+        )
+        return PredicateArrays(
+            arity=arity,
+            query=np.arange(len(positions)).repeat(arity),
+            column=self.column[rows],
+            lo=self.lo[rows],
+            hi=self.hi[rows],
+            lo_open=self.lo_open[rows],
+            hi_open=self.hi_open[rows],
+        )
+
     @property
     def is_empty(self) -> np.ndarray:
         """:attr:`Predicate.is_empty` per predicate."""
@@ -193,27 +214,54 @@ class PredicateArrays:
 
 
 class QueryBatch(Sequence):
-    """A read-only query batch held as :class:`PredicateArrays`.
+    """A read-only query batch that holds its :class:`Query` objects,
+    its :class:`PredicateArrays`, or both, and builds the missing form
+    on first use (then keeps it).
 
     The batch kernels read the arrays (:meth:`PredicateArrays.of`
     returns them as they are), so a batch decoded from a shard request
-    frame reaches an estimator without building a :class:`Query`.  The
-    queries are built on the first item access and kept; the batch
-    compares equal to the list of its queries.  The arrays must
+    frame reaches an estimator without building a :class:`Query`, and a
+    batch wrapped once by :meth:`of` builds its arrays once however many
+    kernels read them; :meth:`take` hands a sub-batch the rows of both.
+    The batch compares equal to the list of its queries.  Arrays must
     describe valid queries: every query has a predicate, no column
     repeats inside a query, and every predicate bounds a side.
     """
 
-    __slots__ = ("arrays", "_queries")
+    __slots__ = ("_arrays", "_queries")
 
     def __init__(self, arrays: PredicateArrays) -> None:
-        self.arrays = arrays
+        self._arrays: PredicateArrays | None = arrays
         self._queries: list[Query] | None = None
+
+    @classmethod
+    def of(cls, queries: Sequence[Query]) -> "QueryBatch":
+        """``queries`` as a batch; the arrays are built on first use."""
+        batch = cls.__new__(cls)
+        batch._arrays = None
+        batch._queries = list(queries)
+        return batch
+
+    @property
+    def arrays(self) -> PredicateArrays:
+        if self._arrays is None:
+            self._arrays = PredicateArrays.of(self._queries)
+        return self._arrays
 
     @property
     def materialized(self) -> bool:
         """True once the :class:`Query` objects have been built."""
         return self._queries is not None
+
+    def take(self, positions: Sequence[int]) -> "QueryBatch":
+        """The queries at ``positions``, in that order, as a batch that
+        reuses this one's work: built arrays are sliced, not rebuilt."""
+        sub = QueryBatch.__new__(QueryBatch)
+        sub._queries = (
+            None if self._queries is None else [self._queries[i] for i in positions]
+        )
+        sub._arrays = None if self._arrays is None else self._arrays.take(positions)
+        return sub
 
     def _materialize(self) -> list[Query]:
         if self._queries is None:
@@ -236,10 +284,13 @@ class QueryBatch(Sequence):
         return self._queries
 
     def __len__(self) -> int:
-        return len(self.arrays.arity)
+        if self._queries is not None:
+            return len(self._queries)
+        return len(self._arrays.arity)
 
     def __getitem__(self, index):
-        return self._materialize()[index]
+        queries = self._queries
+        return (self._materialize() if queries is None else queries)[index]
 
     def __iter__(self):
         return iter(self._materialize())

@@ -13,6 +13,7 @@ encodes categorical attributes before handing data to the estimators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,14 @@ class Table:
     @property
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
+
+    @cached_property
+    def domain_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every column's ``domain_min`` and ``domain_max`` as two arrays."""
+        return (
+            np.array([c.domain_min for c in self.columns], dtype=np.float64),
+            np.array([c.domain_max for c in self.columns], dtype=np.float64),
+        )
 
     def column_index(self, name: str) -> int:
         """Return the position of the column called ``name``."""

@@ -12,7 +12,6 @@ factors, which matches its published behaviour at this scale).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from ...core.estimator import CardinalityEstimator
 from ...core.query import Query
@@ -22,8 +21,8 @@ from ...core.workload import Workload
 _SQRT2 = np.sqrt(2.0)
 
 
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + special.erf(z / _SQRT2))
+def _normal_cdf(z: np.ndarray, erf) -> np.ndarray:
+    return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
 class KdeFeedbackEstimator(CardinalityEstimator):
@@ -110,13 +109,17 @@ class KdeFeedbackEstimator(CardinalityEstimator):
         self, boxes: np.ndarray, bandwidths: np.ndarray
     ) -> np.ndarray:
         """P(box) for each of Q boxes; boxes shape (Q, d, 2)."""
+        # scipy is imported on first use, not with the package: it adds
+        # ~40 MB to every process that imports repro.
+        from scipy.special import erf
+
         assert self._points is not None
         pts = self._points  # (S, d)
         h = np.maximum(bandwidths, 1e-9)
         # (Q, S, d) z-scores for both box faces.
         z_hi = (boxes[:, None, :, 1] - pts[None, :, :]) / h
         z_lo = (boxes[:, None, :, 0] - pts[None, :, :]) / h
-        per_dim = _normal_cdf(z_hi) - _normal_cdf(z_lo)
+        per_dim = _normal_cdf(z_hi, erf) - _normal_cdf(z_lo, erf)
         return np.prod(per_dim, axis=2).mean(axis=1)
 
     def _estimate(self, query: Query) -> float:

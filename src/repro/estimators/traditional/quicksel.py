@@ -11,7 +11,6 @@ the quadratic program of the original paper in penalty form.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from ...core.estimator import CardinalityEstimator
 from ...core.query import Query
@@ -103,6 +102,9 @@ class QuickSelEstimator(CardinalityEstimator):
         penalty = 10.0
         a_aug = np.vstack([a, penalty * np.ones((1, k))])
         b_aug = np.concatenate([sels, [penalty]])
+        # Imported here, not with the package (see kde._batch_box_probability).
+        from scipy import optimize
+
         weights, _ = optimize.nnls(a_aug, b_aug, maxiter=10 * k)
         total = weights.sum()
         self._weights = weights / total if total > 0 else np.full(k, 1.0 / k)

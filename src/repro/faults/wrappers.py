@@ -432,6 +432,8 @@ class HangingRetrainFault(FaultInjector):
     cooperative deadline check (see
     :class:`repro.lifecycle.RetrainJob`) observes the overrun after the
     chunk returns and abandons the attempt; later attempts run clean.
+    ``sleep`` performs the stall; a test passes one that advances the
+    fake clock its ``RetrainJob`` reads, so no real deadline is raced.
     """
 
     kind = "hanging-retrain"
@@ -441,6 +443,7 @@ class HangingRetrainFault(FaultInjector):
         inner: CardinalityEstimator,
         hang_seconds: float = 0.05,
         hang_attempts: int = 1,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         super().__init__(inner, probability=0.0)
         if hang_seconds < 0.0:
@@ -449,6 +452,7 @@ class HangingRetrainFault(FaultInjector):
             raise ValueError("hang_attempts must be non-negative")
         self.hang_seconds = hang_seconds
         self.hang_attempts = hang_attempts
+        self._sleep = sleep
         self.attempts = 0
         self.hangs_fired = 0
 
@@ -463,7 +467,7 @@ class HangingRetrainFault(FaultInjector):
     def train_epochs(self, workload: Workload, epochs: int) -> None:
         if self.attempts <= self.hang_attempts:
             self.hangs_fired += 1
-            time.sleep(self.hang_seconds)
+            self._sleep(self.hang_seconds)
         self.inner.train_epochs(workload, epochs)
 
     def _fault(self, query: Query) -> float:  # pragma: no cover - never fires

@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from collections.abc import Sequence
+
+import numpy as np
 
 from ..core.estimator import CardinalityEstimator
-from ..core.query import Query
+from ..core.query import PredicateArrays, Query
 from ..core.table import Table
 from ..core.workload import Workload
 
@@ -56,6 +59,31 @@ def trivial_answer(query: Query, table: Table) -> float | None:
     if covers_all_columns(query, table):
         return float(table.num_rows)
     return None
+
+
+def trivial_answers(queries: Sequence[Query], table: Table) -> np.ndarray:
+    """:func:`trivial_answer` for a batch: per query the rule-implied
+    answer, or NaN where a model has to answer.  One vectorized pass
+    over the batch's :class:`~repro.core.query.PredicateArrays`; a batch
+    of one takes the scalar rule, which gives the same answer without
+    the pass's fixed cost."""
+    if len(queries) == 1:
+        value = trivial_answer(queries[0], table)
+        return np.array([math.nan if value is None else value])
+    arrays = PredicateArrays.of(queries)
+    out = np.full(len(arrays.arity), np.nan)
+    domain_min, domain_max = table.domain_bounds
+    cols = arrays.column
+    # An open side reads -inf / inf, which covers any (finite) domain; a
+    # NaN bound compares False and covers nothing, as in the scalar rule.
+    covered = (arrays.lo <= domain_min[cols]) & (arrays.hi >= domain_max[cols])
+    # Fidelity-A: every column predicated over its full domain.
+    uncovered = np.bincount(arrays.query, weights=~covered, minlength=len(out))
+    out[(arrays.arity >= table.num_columns) & (uncovered == 0)] = float(table.num_rows)
+    # Fidelity-B: any contradictory predicate (wins over Fidelity-A).
+    empty = np.bincount(arrays.query, weights=arrays.is_empty, minlength=len(out))
+    out[empty > 0] = 0.0
+    return out
 
 
 def covers_all_columns(query: Query, table: Table) -> bool:

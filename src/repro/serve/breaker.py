@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 from ..obs import BREAKER_TRANSITIONS, EventLog, MetricsRegistry
 from ..obs import get_events as _default_events
@@ -134,6 +134,21 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             if self._consecutive_failures >= self.config.failure_threshold:
                 self._trip()
+
+    def record_outcomes(self, failed: Sequence[bool]) -> None:
+        """:meth:`record_failure` for each True, :meth:`record_success`
+        for each False, in order.  A CLOSED breaker that sees no failure
+        only resets its failure run, so that case (a healthy sub-batch)
+        skips the per-event calls."""
+        if self._state is BreakerState.CLOSED and not any(failed):
+            if len(failed):
+                self._consecutive_failures = 0
+            return
+        for failure in failed:
+            if failure:
+                self.record_failure()
+            else:
+                self.record_success()
 
     # ------------------------------------------------------------------
     def _trip(self) -> None:

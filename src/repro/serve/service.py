@@ -58,7 +58,7 @@ import numpy as np
 
 from ..core.estimator import CardinalityEstimator
 from ..core.metrics import qerror as _qerror
-from ..core.query import Query
+from ..core.query import Query, QueryBatch
 from ..core.table import Table
 from ..core.workload import Workload
 from ..obs import (
@@ -83,7 +83,7 @@ from ..obs import (
     get_slos,
     span,
 )
-from ..rules.enforce import clamp_to_bounds, trivial_answer
+from ..rules.enforce import clamp_to_bounds, trivial_answers
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker
 from .cache import EstimateCache
 
@@ -114,6 +114,35 @@ class ServedEstimate:
     #: trace id of the serving span (None when no collector is active);
     #: links accuracy feedback and exemplars back to the full span tree
     trace_id: int | None = None
+
+
+def _served(
+    estimate: float,
+    tier: str,
+    tier_index: int,
+    degraded: bool,
+    latency_seconds: float,
+    attempts: tuple[tuple[str, str], ...],
+) -> ServedEstimate:
+    """A :class:`ServedEstimate` built via ``__dict__`` rather than the
+    frozen-dataclass ``__init__`` (which ``object.__setattr__``'s every
+    field): the generated constructor alone costs ~2.5 µs, a third of
+    the whole cache-hit latency budget."""
+    served = ServedEstimate.__new__(ServedEstimate)
+    served.__dict__.update({
+        "estimate": estimate,
+        "tier": tier,
+        "tier_index": tier_index,
+        "degraded": degraded,
+        "latency_seconds": latency_seconds,
+        "attempts": attempts,
+        "trace_id": None,
+    })
+    return served
+
+
+_SHORTCUT_ATTEMPTS = (("shortcut", "served"),)
+_CACHE_ATTEMPTS = (("cache", "served"),)
 
 
 @dataclass(frozen=True)
@@ -485,21 +514,14 @@ class EstimatorService(CardinalityEstimator):
         self._count_cache(kind)
         self._queries += 1
         self._count_request("cache")
-        # Constructed via __dict__ rather than the frozen-dataclass
-        # __init__ (which object.__setattr__'s every field): the
-        # generated constructor alone costs ~2.5us, a third of the
-        # whole cache-hit latency budget.
-        served = ServedEstimate.__new__(ServedEstimate)
-        served.__dict__.update({
-            "estimate": hit,
-            "tier": "semantic-cache" if kind == "semantic_hit" else "cache",
-            "tier_index": -1,
-            "degraded": False,
-            "latency_seconds": self._clock() - start,
-            "attempts": (("cache", "served"),),
-            "trace_id": None,
-        })
-        return served
+        return _served(
+            hit,
+            "semantic-cache" if kind == "semantic_hit" else "cache",
+            -1,
+            False,
+            self._clock() - start,
+            _CACHE_ATTEMPTS,
+        )
 
     def serve_many(self, queries: Sequence[Query]) -> list[ServedEstimate]:
         """Serve a batch, one by one (the harness replay path)."""
@@ -577,59 +599,70 @@ class EstimatorService(CardinalityEstimator):
                 results = [replace(s, trace_id=root.trace_id) for s in results]
             return results  # type: ignore[return-value]
 
-    def _serve_batch_inner(self, queries: list[Query]) -> list[ServedEstimate]:
+    def _serve_batch_inner(self, queries: Sequence[Query]) -> list[ServedEstimate]:
         """The chain walk, for queries the cache did not answer.
 
         :meth:`serve` walks a batch of one, :meth:`serve_batch` its
-        misses.  Every still-unanswered query goes to the current tier
-        in one ``estimate_many`` call, :func:`screen_answers` judges the
-        answers (NaN / inf / out-of-bounds / guard bound), and only the
-        rejected queries fall through to the next tier.  A tier call
-        that raises fails the whole sub-batch on that tier.  Per-tier
-        latency samples are amortised (call wall-clock divided by
-        sub-batch size) so attempt counts and latency-sample counts stay
-        one-to-one, the invariant the health window and the exported
-        histogram share.
+        misses.  The walk is columnar: a batch of two or more is wrapped
+        once in a :class:`~repro.core.query.QueryBatch`, whose arrays the rule
+        shortcut, the guard's OOD and clamp passes and the tiers' batch
+        kernels all read, and each tier gets an order-preserving
+        ``take`` of it.  Every still-unanswered query goes to the
+        current tier in one ``estimate_many`` call,
+        :func:`screen_answers` judges the answers (NaN / inf /
+        out-of-bounds / guard bound), and only the rejected queries
+        fall through to the next tier.  A tier call that raises fails
+        the whole sub-batch on that tier.  The bookkeeping runs once per
+        (tier, sub-batch): latency samples (call wall-clock divided by
+        sub-batch size, so attempt counts and latency-sample counts stay
+        one-to-one), counters by distinct outcome, and the breaker's
+        outcome sequence; per-query events are emitted only for OOD
+        reroutes, rejections, clamps and fallbacks.
         """
         table = self.table
         start = self._clock()
-        self._queries += len(queries)
-        results: list[ServedEstimate | None] = [None] * len(queries)
-        attempts: list[list[tuple[str, str]]] = [[] for _ in queries]
-        pending: list[int] = []
-        for i, query in enumerate(queries):
-            trivial = trivial_answer(query, table)
-            if trivial is None:
-                pending.append(i)
-                continue
-            self._shortcuts += 1
-            self._count_request("shortcut")
-            results[i] = ServedEstimate(
-                estimate=trivial,
-                tier="shortcut",
-                tier_index=-1,
-                degraded=False,
-                latency_seconds=self._clock() - start,
-                attempts=(("shortcut", "served"),),
-            )
+        # A batch of one stays a list: only its tier reads its arrays (the
+        # rule and the guard take their scalar forms at B=1), and the
+        # wrapper's Python-level len/getitem cost a serve() miss ~10 µs.
+        batch = QueryBatch.of(queries) if len(queries) > 1 else queries
+        n = len(batch)
+        # A sub-batch of every query in order is the batch itself.
+        everything = list(range(n))
+        self._queries += n
+        results: list[ServedEstimate | None] = [None] * n
+        attempts: list[list[tuple[str, str]]] = [[] for _ in range(n)]
+        # NaN marks a query the rules leave to the chain.
+        trivial = trivial_answers(batch, table).tolist()
+        pending = [i for i, value in enumerate(trivial) if value != value]
+        if len(pending) < n:
+            self._shortcuts += n - len(pending)
+            self._count_request("shortcut", n - len(pending))
+            latency = self._clock() - start
+            for i, value in enumerate(trivial):
+                if value == value:
+                    results[i] = _served(
+                        value, "shortcut", -1, False, latency, _SHORTCUT_ATTEMPTS
+                    )
 
         # OOD queries skip the learned primary: the model never saw this
         # region of the query space, so a tier with bounded-by-design
         # error answers instead (unless the primary is the only tier).
         # Flagged queries are pulled out of the tier-0 sub-batch and
-        # rejoin the walk at tier 1.
+        # rejoin the walk at tier 1, after tier 0's rejects.
         events = self._obs_events()
         ood_carry: list[int] = []
         if self.guard is not None and len(self._tiers) > 1 and pending:
-            flags = self.guard.is_ood_many([queries[i] for i in pending]).tolist()
+            flags = self.guard.is_ood_many(
+                batch if pending == everything else batch.take(pending)
+            ).tolist()
             ood_carry = [i for i, flag in zip(pending, flags) if flag]
-            for i in ood_carry:
-                attempts[i].append(("guard", "ood-reroute"))
-                self._count_guard_ood()
-                events.emit("guard.ood", service=self.name)
-                self._attempt_outcome(self._tiers[0], attempts[i], "skipped-ood")
             if ood_carry:
                 pending = [i for i, flag in zip(pending, flags) if not flag]
+                self._count_guard_ood(len(ood_carry))
+                for i in ood_carry:
+                    attempts[i].append(("guard", "ood-reroute"))
+                    events.emit("guard.ood", service=self.name)
+                self._note_attempts(self._tiers[0], ood_carry, attempts, "skipped-ood")
 
         last = len(self._tiers) - 1
         for index, tier in enumerate(self._tiers):
@@ -639,99 +672,105 @@ class EstimatorService(CardinalityEstimator):
                 if index == 0:
                     continue  # rerouted queries rejoin at tier 1
                 break
+            k = len(pending)
             if not tier.breaker.allows_request():
-                tier.stats.skipped_open += len(pending)
-                for i in pending:
-                    self._attempt_outcome(tier, attempts[i], "skipped-open")
+                tier.stats.skipped_open += k
+                self._note_attempts(tier, pending, attempts, "skipped-open")
                 continue
             # The final tier is the designated cheap answer-of-last-model
             # and is exempt from the deadline: an aborted primary must
             # still degrade to *some* tier's estimate.
             if index < last and self._budget_spent(start):
-                tier.stats.skipped_deadline += len(pending)
-                for i in pending:
-                    self._attempt_outcome(tier, attempts[i], "skipped-deadline")
+                tier.stats.skipped_deadline += k
+                self._note_attempts(tier, pending, attempts, "skipped-deadline")
                 continue
 
-            tier.stats.attempts += len(pending)
+            tier.stats.attempts += k
             with span(
                 "serve.tier",
                 collector=self._collector,
                 tier=tier.name,
-                batch=len(pending),
+                batch=k,
             ) as attempt_span:
                 call_start = self._clock()
-                sub = [queries[i] for i in pending]
+                sub = batch if pending == everything else batch.take(pending)
                 try:
                     raw = np.asarray(
                         tier.estimator.estimate_many(sub), dtype=np.float64
                     )
-                    failed = raw.shape != (len(sub),)
+                    failed = raw.shape != (k,)
                 except Exception as exc:
                     events.emit(
                         "serve.tier_error",
                         tier=tier.name,
-                        batch=len(sub),
+                        batch=k,
                         error=f"{type(exc).__name__}: {exc}",
                     )
                     failed = True
-                per_query = (self._clock() - call_start) / len(pending)
-                for _ in pending:
-                    self._record_latency(tier, per_query)
+                self._record_latency(tier, (self._clock() - call_start) / k, k)
                 # Answers that arrive too late are useless too: the
                 # optimizer has moved on.  Discard and penalise the tier.
                 if failed or (index < last and self._budget_spent(start)):
                     outcome = "exception" if failed else "timeout"
-                    for i in pending:
-                        self._record_failure(tier, outcome)
-                        self._attempt_outcome(tier, attempts[i], outcome, attempt_span)
+                    tier.stats.failures[outcome] += k
+                    tier.breaker.record_outcomes([True] * k)
+                    self._note_attempts(tier, pending, attempts, outcome, attempt_span)
                     continue
 
                 judged = screen_answers(raw, table.num_rows, sub, self.guard)
+                outcomes = judged.outcomes
+                # A clamp counts against the tier like a rejection does.
+                tier.breaker.record_outcomes([o != "served" for o in outcomes])
+                if attempt_span is not None:
+                    attempt_span.attrs["outcome"] = outcomes[-1]
+                name = tier.name
+                for outcome in dict.fromkeys(outcomes):
+                    self._count_attempts(name, outcome, outcomes.count(outcome))
+                accepted: list[int] = []
                 still: list[int] = []
                 for pos, i in enumerate(pending):
-                    outcome = judged.outcomes[pos]
+                    outcome = outcomes[pos]
+                    attempts[i].append((name, outcome))
                     if outcome in REJECTED:
-                        self._record_failure(tier, outcome)
-                        self._attempt_outcome(tier, attempts[i], outcome, attempt_span)
-                        events.emit(
-                            "serve.nan", tier=tier.name, infinite=outcome == "inf"
-                        )
+                        tier.stats.failures[outcome] += 1
+                        events.emit("serve.nan", tier=name, infinite=outcome == "inf")
                         still.append(i)
                         continue
-                    if outcome == "served":
-                        tier.breaker.record_success()
-                    else:
+                    if outcome != "served":
                         # Finite but illogical, or past a provable bound:
                         # served clamped, counted against the tier.
                         if not judged.sane[pos]:
                             tier.stats.sanitized += 1
                         if judged.reasons[pos] is not None:
                             tier.stats.guard_clamped += 1
-                        judged.report(pos, events, self._obs_registry(), tier=tier.name)
-                        tier.breaker.record_failure()
-                    tier.stats.served += 1
+                        judged.report(pos, events, self._obs_registry(), tier=name)
+                    accepted.append(pos)
                     if index > 0:
-                        self._degraded += 1
-                        events.emit(
-                            "serve.fallback", tier=tier.name, tier_index=index
-                        )
-                    self._attempt_outcome(tier, attempts[i], outcome, attempt_span)
-                    self._count_request("primary" if index == 0 else "fallback")
-                    value = float(judged.served[pos])
-                    # Only chain answers are cached: a shortcut is cheaper
-                    # than a probe, and a last-resort answer reflects a
-                    # transient outage, not the model.
-                    if self.cache is not None:
-                        self.cache.put(queries[i], value)
-                    results[i] = ServedEstimate(
-                        estimate=value,
-                        tier=tier.name,
-                        tier_index=index,
-                        degraded=index > 0,
-                        latency_seconds=self._clock() - start,
-                        attempts=tuple(attempts[i]),
+                        events.emit("serve.fallback", tier=name, tier_index=index)
+                if accepted:
+                    tier.stats.served += len(accepted)
+                    if index > 0:
+                        self._degraded += len(accepted)
+                    self._count_request(
+                        "primary" if index == 0 else "fallback", len(accepted)
                     )
+                    values = judged.served.tolist()
+                    latency = self._clock() - start
+                    for pos in accepted:
+                        i = pending[pos]
+                        # Only chain answers are cached: a shortcut is
+                        # cheaper than a probe, and a last-resort answer
+                        # reflects a transient outage, not the model.
+                        if self.cache is not None:
+                            self.cache.put(queries[i], values[pos])
+                        results[i] = _served(
+                            values[pos],
+                            name,
+                            index,
+                            index > 0,
+                            latency,
+                            tuple(attempts[i]),
+                        )
                 pending = still
 
         for i in pending:
@@ -741,13 +780,13 @@ class EstimatorService(CardinalityEstimator):
             attempts[i].append(("last-resort", "served"))
             self._count_request("last-resort")
             events.emit("serve.last_resort", service=self.name)
-            results[i] = ServedEstimate(
-                estimate=self._last_resort_value(queries[i], table),
-                tier="last-resort",
-                tier_index=len(self._tiers),
-                degraded=True,
-                latency_seconds=self._clock() - start,
-                attempts=tuple(attempts[i]),
+            results[i] = _served(
+                self._last_resort_value(queries[i], table),
+                "last-resort",
+                len(self._tiers),
+                True,
+                self._clock() - start,
+                tuple(attempts[i]),
             )
         assert all(served is not None for served in results)
         return results  # type: ignore[return-value]
@@ -860,16 +899,12 @@ class EstimatorService(CardinalityEstimator):
                 count_guard_clamp(self._obs_registry(), reason)
         return value
 
-    def _count_guard_ood(self) -> None:
+    def _count_guard_ood(self, count: int) -> None:
         self._bound_counter(
             GUARD_OOD,
             "Out-of-distribution guard decisions",
             action="reroute",
-        ).inc()
-
-    def _record_failure(self, tier: _Tier, kind: str) -> None:
-        tier.stats.failures[kind] += 1
-        tier.breaker.record_failure()
+        ).inc(count)
 
     # ------------------------------------------------------------------
     # Telemetry plumbing (shared sinks default to the process-wide ones)
@@ -908,19 +943,20 @@ class EstimatorService(CardinalityEstimator):
     def _obs_events(self) -> EventLog:
         return self._events if self._events is not None else get_events()
 
-    def _record_latency(self, tier: _Tier, seconds: float) -> None:
-        tier.stats.latencies.observe(seconds)
+    def _record_latency(self, tier: _Tier, seconds: float, count: int) -> None:
+        """``count`` latency samples of ``seconds`` (one per attempt)."""
+        tier.stats.latencies.extend([seconds] * count)
         self._obs_registry().histogram(
             SERVE_TIER_SECONDS, "Per-tier serve-attempt latency"
-        ).observe(seconds, tier=tier.name)
+        ).observe_many(seconds, count, tier=tier.name)
 
-    def _count_request(self, outcome: str) -> None:
-        self._hot_inc(SERVE_REQUESTS, "Queries served, by outcome", outcome)
+    def _count_request(self, outcome: str, count: int = 1) -> None:
+        self._hot_inc(SERVE_REQUESTS, "Queries served, by outcome", outcome, count)
 
     def _count_cache(self, outcome: str) -> None:
         self._hot_inc(SERVE_CACHE, "Estimate-cache lookups, by outcome", outcome)
 
-    def _hot_inc(self, name: str, help: str, outcome: str) -> None:
+    def _hot_inc(self, name: str, help: str, outcome: str, count: int = 1) -> None:
         """Single-``outcome``-label bump without the kwargs/sort of
         :meth:`_bound_counter` key building (the cache-hit path runs
         this twice per query)."""
@@ -928,21 +964,32 @@ class EstimatorService(CardinalityEstimator):
         registry = self._obs_registry()
         cached = self._counters.get(key)
         if cached is not None and cached[0] is registry:
-            cached[1].inc()
+            cached[1].inc(count)
             return
         bound = registry.counter(name, help).labelled(outcome=outcome)
         self._counters[key] = (registry, bound)
-        bound.inc()
+        bound.inc(count)
 
-    def _attempt_outcome(
-        self, tier: _Tier, attempts: list, outcome: str, attempt_span=None
-    ) -> None:
-        attempts.append((tier.name, outcome))
-        if attempt_span is not None:
-            attempt_span.attrs["outcome"] = outcome
+    def _count_attempts(self, tier: str, outcome: str, count: int) -> None:
         self._bound_counter(
             SERVE_TIER_ATTEMPTS,
             "Tier attempt outcomes along the chain",
-            tier=tier.name,
+            tier=tier,
             outcome=outcome,
-        ).inc()
+        ).inc(count)
+
+    def _note_attempts(
+        self,
+        tier: _Tier,
+        positions: list[int],
+        attempts: list[list[tuple[str, str]]],
+        outcome: str,
+        attempt_span=None,
+    ) -> None:
+        """One ``outcome`` for every query at ``positions`` on ``tier``."""
+        step = (tier.name, outcome)
+        for i in positions:
+            attempts[i].append(step)
+        if attempt_span is not None:
+            attempt_span.attrs["outcome"] = outcome
+        self._count_attempts(tier.name, outcome, len(positions))

@@ -247,7 +247,16 @@ class TestRetrainJob:
         self, tmp_path, lifecycle_table, lifecycle_workloads
     ):
         train, _ = lifecycle_workloads
-        est = HangingRetrainFault(small_lwnn(), hang_seconds=0.10, hang_attempts=1)
+        # The stall advances the job's fake clock, so only the hanging
+        # attempt overruns its deadline, however slow the host.
+        now = [0.0]
+
+        def stall(seconds: float) -> None:
+            now[0] += seconds
+
+        est = HangingRetrainFault(
+            small_lwnn(), hang_seconds=0.10, hang_attempts=1, sleep=stall
+        )
         job = RetrainJob(
             est,
             lifecycle_table,
@@ -255,6 +264,7 @@ class TestRetrainJob:
             store=CheckpointStore(tmp_path),
             policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.0),
             attempt_deadline_seconds=0.05,
+            clock=lambda: now[0],
             sleep=lambda _: None,
         )
         report = job.run()
