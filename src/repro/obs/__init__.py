@@ -41,7 +41,6 @@ from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     BREAKER_TRANSITIONS,
     ESTIMATOR_PHASE_SECONDS,
-    FASTPATH_SEMANTIC,
     FASTPATH_STUDENT,
     GUARD_CLAMPED,
     GUARD_OOD,
@@ -149,7 +148,6 @@ __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "ESTIMATOR_PHASE_SECONDS",
-    "FASTPATH_SEMANTIC",
     "FASTPATH_STUDENT",
     "GUARD_CLAMPED",
     "GUARD_OOD",

@@ -77,12 +77,28 @@ class _Metric:
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
+        #: validated label keys by the caller's ``(label, value)`` pairs
+        self._keys: dict[tuple, LabelKey] = {}
 
     def _check_labels(self, labels: dict[str, object]) -> LabelKey:
+        """The validated key of ``labels``, memoized by the caller's
+        ``(label, value)`` pairs: a repeated label set costs one dict
+        lookup, not a regex and a sort.  Only valid, all-``str`` label
+        sets are memoized (``1``, ``1.0`` and ``True`` hash alike)."""
+        items = tuple(labels.items())
+        try:
+            key = self._keys.get(items)
+        except TypeError:  # an unhashable label value
+            key = None
+        if key is not None:
+            return key
         for label in labels:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label name {label!r} on {self.name}")
-        return _label_key(labels)
+        key = _label_key(labels)
+        if all(type(value) is str for value in labels.values()):
+            self._keys[items] = key
+        return key
 
     # Subclasses provide: samples() -> iterable of exposition lines,
     # snapshot() -> JSON-safe dict, reset().
@@ -645,9 +661,6 @@ SLO_TRANSITIONS = "repro_slo_transitions_total"
 #: distilled-student answers, labelled {outcome}: "student" when the
 #: confidence gate lets the student answer, "teacher" on fallback
 FASTPATH_STUDENT = "repro_fastpath_student_total"
-#: router-level shared semantic-cache probes before shard dispatch,
-#: labelled {shard, outcome} ("hit" / "semantic_hit" / "miss")
-FASTPATH_SEMANTIC = "repro_fastpath_semantic_total"
 #: estimates pulled into the provable bound interval, labelled {reason}
 #: ("above-upper" / "below-lower")
 GUARD_CLAMPED = "repro_guard_clamped_total"

@@ -22,6 +22,12 @@ ride the ring (too large for a slot, or no free worker) is answered by
 the shard's in-process fallback chain; a model swap of forked workers
 attaches an arena generation.  Inline pools (no fork) call the model directly.
 
+The tier keeps no cache of its own: caching belongs to
+:class:`~repro.serve.EstimatorService`, and a shard's fallback chain
+runs without one.  Answers are built by
+:func:`~repro.serve.service.served_estimate`, the serving chain's one
+``ServedEstimate`` builder (``tests/test_lint.py`` rule 8).
+
 Every request gets an answer — worker, fallback chain, or heuristic
 shed tier — so availability stays 1.0 under the whole chaos matrix
 (worker crashes, hangs, slow workers, queue floods, model corruption,

@@ -100,8 +100,6 @@ class AdmissionController:
         #: EWMA per-query worker service time (seconds); None until the
         #: first completed dispatch reports in
         self.service_seconds_per_query: float | None = None
-        self.admitted_total = 0
-        self.shed_total: Counter = Counter()
 
     # ------------------------------------------------------------------
     def predicted_wait_ms(self, position: int) -> float:
@@ -141,10 +139,8 @@ class AdmissionController:
 
         admitted.sort()  # back to arrival order: admission never reorders
         shed.sort()
-        self.admitted_total += len(admitted)
         if shed:
             reasons = Counter(reason for _, reason in shed)
-            self.shed_total.update(reasons)
             counter = self._obs_registry().counter(
                 SHARD_SHED, "Requests shed to the heuristic tier, by reason"
             )

@@ -28,12 +28,6 @@ read-only tensor views off that one segment — no drain, no new
 processes, and the model is never pickled over a pipe.  A candidate the
 arena cannot publish is not promoted and touches no shard.  Inline and
 not-started pools simply adopt the candidate.
-
-The router can also share one
-:class:`~repro.fastpath.semantic.SemanticEstimateCache` across all its
-shards: each shard probes a generation-namespaced slice of the shared
-cache *before* worker dispatch, so a semantic hit skips the IPC round
-trip entirely (counted under ``repro_fastpath_semantic_total{shard}``).
 """
 
 from __future__ import annotations
@@ -45,11 +39,9 @@ import numpy as np
 
 from ..core.estimator import CardinalityEstimator
 from ..core.query import Query
-from ..fastpath.semantic import SemanticEstimateCache
 from ..lifecycle.gate import GateReport, PromotionGate
 from ..lifecycle.retrain import RetryPolicy
 from ..obs import (
-    FASTPATH_SEMANTIC,
     SHARD_REQUESTS,
     SHARD_SWAPS,
     EventLog,
@@ -72,55 +64,12 @@ from ..serve.service import (
     EstimatorService,
     ServedEstimate,
     screen_answers,
+    served_estimate,
 )
 from .admission import AdmissionConfig, AdmissionController, ShardRequest
 from .hashing import HashRing, routing_key
 from .shm import ArenaError, ArenaGeneration, ModelArena
 from .supervisor import DispatchTicket, WorkerSupervisor
-
-
-#: rows of the estimator's table sampled into a semantic cache the router
-#: builds itself (``semantic_cache=<capacity>``)
-SEMANTIC_SAMPLE_ROWS = 512
-
-
-class _SemanticShardView:
-    """One shard's generation-namespaced slice of the shared cache.
-
-    The shared :class:`SemanticEstimateCache` namespaces entries by its
-    ``generation`` attribute, so interleaving shards on a single cache
-    is just arithmetic: the view sets ``generation = epoch * num_shards
-    + shard_index`` before every probe/put.  Shards never see each
-    other's entries, and a shard-local model swap (:meth:`bump`)
-    invalidates only that shard's slice.
-    """
-
-    def __init__(
-        self, cache: SemanticEstimateCache, index: int, stride: int
-    ) -> None:
-        self.cache = cache
-        self._index = index
-        self._stride = stride
-        self._epoch = 0
-
-    def _focus(self) -> None:
-        self.cache.generation = self._epoch * self._stride + self._index
-
-    def get(self, query: Query) -> float | None:
-        self._focus()
-        return self.cache.get(query)
-
-    def put(self, query: Query, estimate: float) -> None:
-        self._focus()
-        self.cache.put(query, estimate)
-
-    @property
-    def last_hit_kind(self) -> str | None:
-        return self.cache.last_hit_kind
-
-    def bump(self) -> None:
-        """Roll this shard's slice to a fresh epoch after a model swap."""
-        self._epoch += 1
 
 
 @dataclass(frozen=True)
@@ -187,11 +136,8 @@ class Shard:
         policy: RetryPolicy | None = None,
         mode: str = "auto",
         arena: ModelArena | None = None,
-        semantic_view: _SemanticShardView | None = None,
         request_timeout_seconds: float = 5.0,
-        heartbeat_timeout_seconds: float = 1.0,
         seed: int = 0,
-        cache_capacity: int | None = None,
         events: EventLog | None = None,
         registry: MetricsRegistry | None = None,
         telemetry: bool = True,
@@ -202,14 +148,11 @@ class Shard:
         self.name = name
         self.estimator = estimator
         self.table = estimator.table  # raises if unfitted, by design
-        self._fallback_tiers = list(fallback_tiers)
         self.guard = guard
         self._events = events
         self._registry = registry
-        self.telemetry = telemetry
         self._slos = slos
         self._exemplars = exemplars
-        self.semantic_view = semantic_view
         #: swaps whose live workers attached an arena generation
         self.arena_swaps = 0
         #: the estimator forked into workers; may be a fault wrapper
@@ -217,11 +160,10 @@ class Shard:
         self.worker_estimator = worker_estimator or estimator
         # In-process fallback chain: the *clean* parent model first,
         # then the caller's degradation tiers.  Per-shard instance so
-        # breakers, cache generations and stats stay shard-local.
+        # breakers and stats stay shard-local.
         self.fallback_service = EstimatorService(
-            [estimator, *self._fallback_tiers],
+            [estimator, *fallback_tiers],
             deadline_ms=None,
-            cache=cache_capacity,
             events=events,
             registry=registry,
             slos=slos,
@@ -242,7 +184,6 @@ class Shard:
             num_workers,
             policy=policy,
             request_timeout_seconds=request_timeout_seconds,
-            heartbeat_timeout_seconds=heartbeat_timeout_seconds,
             mode=mode,
             arena=arena,
             seed=seed,
@@ -301,14 +242,14 @@ class Shard:
             shed_queries = [requests[i].query for i, _ in decision.shed]
             values = self._shed_estimator.estimate_many(shed_queries)
             for (index, reason), value in zip(decision.shed, values):
-                results[index] = ServedEstimate(
-                    estimate=float(value),
-                    tier="shed:heuristic",
-                    tier_index=-1,
-                    degraded=True,
-                    latency_seconds=0.0,
-                    attempts=(("admission", f"shed-{reason}"),),
-                    trace_id=trace_id,
+                results[index] = served_estimate(
+                    float(value),
+                    "shed:heuristic",
+                    -1,
+                    True,
+                    0.0,
+                    (("admission", f"shed-{reason}"),),
+                    trace_id,
                 )
             self.stats.shed += len(decision.shed)
             for reason, count in decision.shed_reasons.items():
@@ -433,14 +374,14 @@ class Shard:
                 continue
             if outcome != "served":
                 judged.report(pos, events, registry, shard=self.name, tier="worker")
-            batch.results[i] = ServedEstimate(
-                estimate=float(judged.served[pos]),
-                tier="worker",
-                tier_index=0,
-                degraded=False,
-                latency_seconds=latency,
-                attempts=(("worker", outcome),),
-                trace_id=batch.trace_id,
+            batch.results[i] = served_estimate(
+                float(judged.served[pos]),
+                "worker",
+                0,
+                False,
+                latency,
+                (("worker", outcome),),
+                batch.trace_id,
             )
         if bad:
             events.emit(
@@ -463,18 +404,14 @@ class Shard:
         The supervisor points its running workers at an arena generation
         (pre-published by the router, or published by the supervisor)
         with a tiny control frame; an inline or not-started pool just
-        adopts the candidate.  ``replace_primary`` then bumps the
-        shard's cache generation (no stale estimate from the old model
-        can be served under the new one) and the shard's semantic-cache
-        slice rolls to a fresh epoch.
+        adopts the candidate, and ``replace_primary`` puts it at the
+        front of the shard's fallback chain.
         """
         if self.supervisor.swap_model(candidate, generation=generation):
             self.arena_swaps += 1
         self.fallback_service.replace_primary(candidate)
         self.estimator = candidate
         self.fallback_mode = False
-        if self.semantic_view is not None:
-            self.semantic_view.bump()
 
     def probe(self, queries: Sequence[Query]) -> bool:
         """Post-swap smoke check: do the new workers answer servably?
@@ -514,12 +451,8 @@ class ShardRouter:
         policy: RetryPolicy | None = None,
         mode: str = "auto",
         transport: str = "shm",
-        semantic_cache: SemanticEstimateCache | int | None = None,
         request_timeout_seconds: float = 5.0,
-        heartbeat_timeout_seconds: float = 1.0,
-        ring_replicas: int = 64,
         seed: int = 0,
-        cache_capacity: int | None = None,
         events: EventLog | None = None,
         registry: MetricsRegistry | None = None,
         telemetry: bool = True,
@@ -537,7 +470,6 @@ class ShardRouter:
         self.guard = guard
         self._events = events
         self._registry = registry
-        self.telemetry = telemetry
         self._slos = slos
         self._exemplars = exemplars
         #: one arena for the whole fleet: ``rolling_swap`` publishes a
@@ -545,30 +477,9 @@ class ShardRouter:
         #: segment.  Construction allocates nothing until the first
         #: publish, so inline configurations pay nothing for it.
         self.arena = ModelArena()
-        if isinstance(semantic_cache, int):
-            # A row sample makes semantic hits interpolate empirically
-            # (skew-aware) instead of by interval width.
-            table = estimator.table
-            rows = np.random.default_rng(seed).choice(
-                table.num_rows,
-                size=min(SEMANTIC_SAMPLE_ROWS, table.num_rows),
-                replace=False,
-            )
-            semantic_cache = SemanticEstimateCache(
-                semantic_cache, sample=table.data[rows]
-            )
-        self.semantic_cache = semantic_cache
-        self._semantic_views: dict[str, _SemanticShardView] = {}
         self.shards: dict[str, Shard] = {}
         for i in range(num_shards):
             name = f"shard-{i}"
-            view = (
-                _SemanticShardView(semantic_cache, i, num_shards)
-                if semantic_cache is not None
-                else None
-            )
-            if view is not None:
-                self._semantic_views[name] = view
             self.shards[name] = Shard(
                 name,
                 estimator,
@@ -579,11 +490,8 @@ class ShardRouter:
                 policy=policy,
                 mode=mode,
                 arena=self.arena,
-                semantic_view=view,
                 request_timeout_seconds=request_timeout_seconds,
-                heartbeat_timeout_seconds=heartbeat_timeout_seconds,
                 seed=seed + i,
-                cache_capacity=cache_capacity,
                 events=events,
                 registry=registry,
                 telemetry=telemetry,
@@ -591,7 +499,7 @@ class ShardRouter:
                 exemplars=exemplars,
                 guard=guard,
             )
-        self.ring = HashRing(self.shards, replicas=ring_replicas)
+        self.ring = HashRing(self.shards)
         self.started = False
 
     # ------------------------------------------------------------------
@@ -642,61 +550,17 @@ class ShardRouter:
         in_flight: list[tuple[Shard, list[int], ShardBatch]] = []
         try:
             for name, indices in by_shard.items():
-                pending = self._probe_semantic(name, indices, requests, results)
-                if pending:
-                    shard = self.shards[name]
-                    batch = shard.begin([requests[i] for i in pending])
-                    in_flight.append((shard, pending, batch))
+                shard = self.shards[name]
+                batch = shard.begin([requests[i] for i in indices])
+                in_flight.append((shard, indices, batch))
         finally:
             # Gather even when a later shard's begin raised, so no batch
             # already sent is left with its reply (and ring slot) unread.
-            for shard, pending, batch in in_flight:
-                view = self._semantic_views.get(shard.name)
-                for index, served in zip(pending, shard.finish(batch)):
+            for shard, indices, batch in in_flight:
+                for index, served in zip(indices, shard.finish(batch)):
                     results[index] = served
-                    if view is not None and not served.degraded:
-                        view.put(requests[index].query, served.estimate)
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
-
-    def _probe_semantic(
-        self,
-        name: str,
-        indices: list[int],
-        requests: list[ShardRequest],
-        results: list[ServedEstimate | None],
-    ) -> list[int]:
-        """Answer cache hits in place; return the indices still pending.
-
-        The shared semantic cache is probed before dispatch: an exact or
-        semantic hit skips the worker IPC round trip.
-        """
-        view = self._semantic_views.get(name)
-        if view is None:
-            return indices
-        pending = []
-        counter = self._obs_registry().counter(
-            FASTPATH_SEMANTIC,
-            "Shared semantic-cache probes before shard dispatch",
-        )
-        for index in indices:
-            value = view.get(requests[index].query)
-            if value is None:
-                counter.inc(shard=name, outcome="miss")
-                pending.append(index)
-                continue
-            kind = view.last_hit_kind or "hit"
-            counter.inc(shard=name, outcome=kind)
-            results[index] = ServedEstimate(
-                estimate=float(value),
-                tier="semantic-cache",
-                tier_index=-1,
-                degraded=False,
-                latency_seconds=0.0,
-                attempts=(("semantic-cache", kind),),
-                trace_id=None,
-            )
-        return pending
 
     def serve_queries(self, queries: Sequence[Query]) -> list[ServedEstimate]:
         """Convenience: serve plain queries with default metadata."""

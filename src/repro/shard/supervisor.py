@@ -107,6 +107,17 @@ from .shm import ArenaError, ArenaGeneration, ModelArena, ShmRing
 #: answered by the shard's fallback chain instead (counted, never dropped).
 DEFAULT_SLOT_BYTES = 1 << 20
 
+#: How long :meth:`WorkerSupervisor.check_health` waits for a pong.
+HEARTBEAT_TIMEOUT_SECONDS = 1.0
+
+#: Per reply wait: the reply kinds it accepts, then the event details of
+#: failing a worker that stays silent (hang) or closes its pipe (crash).
+_WAITS = {
+    "serve": (("result_slot", "error"), "request timeout", "pipe closed mid-request"),
+    "swap": (("swapped", "swap_failed"), "swap timeout", "pipe closed mid-swap"),
+    "ping": (("pong",), "missed heartbeat", "pipe closed on heartbeat"),
+}
+
 #: Worker lifecycle states (the gauge's ``state`` label).
 LIVE = "live"
 RESTARTING = "restarting"
@@ -217,8 +228,6 @@ class _Worker:
     conn: object = None
     #: restarts consumed from the budget (the initial fork is free)
     restarts: int = 0
-    #: clock() timestamp of the last successful response
-    last_heartbeat: float = 0.0
     #: clock() time before which the next restart must not happen
     restart_at: float = 0.0
     #: ring slot of the batch in flight to this worker (None = idle);
@@ -272,7 +281,6 @@ class WorkerSupervisor:
         *,
         policy: RetryPolicy | None = None,
         request_timeout_seconds: float = 5.0,
-        heartbeat_timeout_seconds: float = 1.0,
         mode: str = "auto",
         slot_bytes: int = DEFAULT_SLOT_BYTES,
         arena: ModelArena | None = None,
@@ -286,7 +294,7 @@ class WorkerSupervisor:
             raise ValueError("num_workers must be at least 1")
         if mode not in ("auto", "fork", "inline"):
             raise ValueError(f"unknown mode {mode!r}; use auto, fork, or inline")
-        if request_timeout_seconds <= 0.0 or heartbeat_timeout_seconds <= 0.0:
+        if request_timeout_seconds <= 0.0:
             raise ValueError("timeouts must be positive")
         fork_available = "fork" in multiprocessing.get_all_start_methods()
         if mode == "fork" and not fork_available:
@@ -316,7 +324,6 @@ class WorkerSupervisor:
             max_attempts=3, backoff_base_seconds=0.05, backoff_cap_seconds=2.0
         )
         self.request_timeout_seconds = request_timeout_seconds
-        self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self._rng = np.random.default_rng(seed)
         self._clock = clock
         self._events = events
@@ -347,10 +354,8 @@ class WorkerSupervisor:
         self._update_gauge()
 
     def _fork(self, worker: _Worker) -> None:
-        now = self._clock()
         if self.mode == "inline":
             worker.state = LIVE
-            worker.last_heartbeat = now
             return
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -372,7 +377,6 @@ class WorkerSupervisor:
         worker.process = process
         worker.conn = parent_conn
         worker.state = LIVE
-        worker.last_heartbeat = now
         self._obs_events().emit(
             "shard.worker_start",
             shard=self.shard,
@@ -568,50 +572,58 @@ class WorkerSupervisor:
         worker = ticket.worker
         if self.mode == "inline":
             return self._answer_inline(worker, ticket.queries)
+        message = self._await_reply(worker, "serve", ticket.request_id, ticket.deadline)
+        if message is None:
+            return None
+        values = None
+        if message[0] == "result_slot":
+            self._merge_snapshot(message, index=4)
+            values, _codes = unpack_results(
+                self._ring.slot_view(worker.slot)[: message[3]]
+            )
+        else:
+            # The worker survived; its estimator raised.  The worker
+            # stays live (the model is broken, not the process) and the
+            # caller degrades this batch.
+            self._merge_snapshot(message, index=3)
+            self._obs_events().emit(
+                "shard.worker_error",
+                shard=self.shard,
+                worker=worker.name,
+                error=message[2],
+            )
+        self._ring.release(worker.slot)
+        worker.slot = None
+        return values
+
+    def _await_reply(
+        self, worker: _Worker, wait: str, key: int, deadline: float
+    ) -> tuple | None:
+        """The worker's ``(kind, key, ...)`` reply to ``wait`` (a
+        :data:`_WAITS` entry), or None after failing the worker.
+
+        Polls until ``deadline``, then once more: a reply that arrived in
+        time while the caller did other work (gathered another shard's
+        batch, say) is not a hang.  Frames of any other kind or key are
+        stale replies to requests already abandoned; they are skipped
+        without merging their telemetry, so a retried batch never counts
+        twice.
+        """
+        kinds, hang, crash = _WAITS[wait]
         while True:
-            remaining = ticket.deadline - monotonic()
+            remaining = deadline - monotonic()
             try:
-                # Poll once more after the deadline: a reply that arrived
-                # in time while the caller gathered another shard's
-                # batch is not a hang.
                 if not worker.conn.poll(max(remaining, 0.0)):
                     if remaining <= 0.0:
-                        self._fail(worker, "hang", detail="request timeout")
+                        self._fail(worker, "hang", detail=hang)
                         return None
                     continue  # loop re-checks the deadline
                 message = worker.conn.recv()
             except (EOFError, OSError):
-                self._fail(worker, "crash", detail="pipe closed mid-request")
+                self._fail(worker, "crash", detail=crash)
                 return None
-            kind = message[0]
-            if kind == "result_slot" and message[1] == ticket.request_id:
-                worker.last_heartbeat = self._clock()
-                self._merge_snapshot(message, index=4)
-                values, _codes = unpack_results(
-                    self._ring.slot_view(worker.slot)[: message[3]]
-                )
-                self._ring.release(worker.slot)
-                worker.slot = None
-                return values
-            if kind == "error" and message[1] == ticket.request_id:
-                # The worker survived; its estimator raised.  The worker
-                # stays live (the model is broken, not the process) and
-                # the caller degrades this batch.
-                self._ring.release(worker.slot)
-                worker.slot = None
-                worker.last_heartbeat = self._clock()
-                self._merge_snapshot(message, index=3)
-                self._obs_events().emit(
-                    "shard.worker_error",
-                    shard=self.shard,
-                    worker=worker.name,
-                    error=message[2],
-                )
-                return None
-            # Stale response from a request we already abandoned: skip it
-            # *without* merging its snapshot — the request was already
-            # failed over, so accepting late telemetry would let a
-            # retried batch count twice.
+            if message[0] in kinds and message[1] == key:
+                return message
 
     def _answer_inline(
         self, worker: _Worker, queries: list[Query]
@@ -625,7 +637,6 @@ class WorkerSupervisor:
         except Exception as exc:
             self._fail(worker, "error", detail=f"{type(exc).__name__}: {exc}")
             return None
-        worker.last_heartbeat = self._clock()
         if self.telemetry:
             # inline workers share the parent's registry; write the
             # per-worker counter directly with the labels the merge
@@ -705,27 +716,13 @@ class WorkerSupervisor:
             self._fail(worker, "crash", detail="pipe closed on swap")
             return False
         deadline = monotonic() + self.request_timeout_seconds
-        while True:
-            remaining = deadline - monotonic()
-            if remaining <= 0.0:
-                self._fail(worker, "hang", detail="swap timeout")
-                return False
-            try:
-                if not worker.conn.poll(remaining):
-                    continue
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                self._fail(worker, "crash", detail="pipe closed mid-swap")
-                return False
-            if message[0] == "swapped" and message[1] == generation.generation:
-                worker.last_heartbeat = self._clock()
-                return True
-            if message[0] == "swap_failed" and message[1] == generation.generation:
-                self._fail(
-                    worker, "error", detail=f"arena attach failed: {message[2]}"
-                )
-                return False
-            # Stale frame from an abandoned request: skip it.
+        message = self._await_reply(worker, "swap", generation.generation, deadline)
+        if message is None:
+            return False
+        if message[0] == "swap_failed":
+            self._fail(worker, "error", detail=f"arena attach failed: {message[2]}")
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Supervision: heartbeats, restarts, budget
@@ -744,21 +741,12 @@ class WorkerSupervisor:
             ping_id = self._request_id
             try:
                 worker.conn.send(("ping", ping_id))
-                deadline = monotonic() + self.heartbeat_timeout_seconds
-                while True:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0.0:
-                        self._fail(worker, "hang", detail="missed heartbeat")
-                        break
-                    if not worker.conn.poll(remaining):
-                        continue
-                    message = worker.conn.recv()
-                    if message[0] == "pong" and message[1] == ping_id:
-                        worker.last_heartbeat = self._clock()
-                        break
-                    # Stale message from an abandoned request: keep reading.
             except (BrokenPipeError, EOFError, OSError):
                 self._fail(worker, "crash", detail="pipe closed on heartbeat")
+                continue
+            self._await_reply(
+                worker, "ping", ping_id, monotonic() + HEARTBEAT_TIMEOUT_SECONDS
+            )
         self.restart_due()
 
     def restart_due(self) -> int:

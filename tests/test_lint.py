@@ -1,6 +1,6 @@
 """Static analysis over ``src/repro``: robustness anti-patterns.
 
-Seven rules, enforced by walking every module's AST:
+Eight rules, enforced by walking every module's AST:
 
 1. **No bare ``except:``** — it catches ``SystemExit`` and
    ``KeyboardInterrupt``, which breaks graceful shutdown (the bench CLI
@@ -48,6 +48,11 @@ Seven rules, enforced by walking every module's AST:
    ``conn.send(model)``, a computed op name, keyword payloads — is how
    a "tiny control message" quietly regrows into a pickle of the whole
    estimator.
+8. **One ``ServedEstimate`` builder** — ``ServedEstimate(...)`` is
+   called only in ``serve/service.py``; every other module builds its
+   answers through ``served_estimate()``.  The frozen-dataclass
+   constructor costs twice the builder, and two ways of building an
+   answer record are two ways for its fields to drift apart.
 
 A handler that is *deliberately* silent (e.g. a child process whose
 parent observes the dead pipe) opts out with a ``# lint-ok: <reason>``
@@ -104,6 +109,9 @@ SEND_MODULES = ("codec.py", "supervisor.py")
 #: the complete control-frame vocabulary of the shard duplex pipes:
 #: parent -> worker requests and worker -> parent replies.  A frame's
 #: first tuple element must be one of these string constants.
+#: the one module allowed to call the ``ServedEstimate`` constructor (rule 8)
+SERVED_MODULE = ("serve", "service.py")
+
 CONTROL_OPS = {
     "serve_slot",
     "ping",
@@ -293,6 +301,22 @@ def _send_violations(
     return found
 
 
+def _served_estimate_calls(tree: ast.AST, lines: list[str]) -> list[int]:
+    """Rule 8 matcher: line numbers of ``ServedEstimate(...)`` calls."""
+    found: list[int] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            name = getattr(func, "id", None)
+        if name == "ServedEstimate" and not _line_has_pragma(lines, node.lineno):
+            found.append(node.lineno)
+    return found
+
+
 def _violations_in(path: Path) -> list[str]:
     source = path.read_text()
     lines = source.splitlines()
@@ -303,6 +327,13 @@ def _violations_in(path: Path) -> list[str]:
     is_fastpath = FASTPATH_DIR in path.parts
     is_serving = any(d in path.parts for d in SERVING_DIRS)
     is_shard = SHARD_DIR in path.parts
+    if tuple(path.parts[-2:]) != SERVED_MODULE:
+        for lineno in _served_estimate_calls(tree, lines):
+            found.append(
+                f"{rel}:{lineno}: ServedEstimate(...) outside serve/service.py "
+                "— build answers with served_estimate(); "
+                "`# lint-ok: <reason>` to opt out"
+            )
     if is_shard:
         for lineno in _send_violations(
             tree, lines, allow_control=path.name in SEND_MODULES
@@ -388,10 +419,13 @@ class TestLintRules:
         is_serving: bool = False,
         is_shard: bool = False,
         allow_control: bool = False,
+        is_served_module: bool = False,
     ) -> list[str]:
         lines = snippet.splitlines()
         found = []
         tree = ast.parse(snippet)
+        if not is_served_module:
+            found.extend("served" for _ in _served_estimate_calls(tree, lines))
         if is_shard:
             found.extend(
                 "send"
@@ -661,3 +695,35 @@ class TestLintRules:
 
     def test_send_rule_scoped_to_shard_dir(self):
         assert self.check("sock.send(data)\n") == []
+
+    def test_flags_served_estimate_constructor(self):
+        snippet = (
+            "answer = ServedEstimate(\n"
+            "    estimate=1.0, tier='worker', tier_index=0, degraded=False,\n"
+            "    latency_seconds=0.0, attempts=(),\n"
+            ")\n"
+        )
+        assert self.check(snippet) == ["served"]
+
+    def test_flags_qualified_served_estimate_constructor(self):
+        snippet = "answer = service.ServedEstimate(1.0, 'w', 0, False, 0.0, ())\n"
+        assert self.check(snippet) == ["served"]
+
+    def test_served_estimate_constructor_legal_in_service_module(self):
+        snippet = (
+            "answer = ServedEstimate.__new__(ServedEstimate)\n"
+            "ServedEstimate(1.0)\n"
+        )
+        assert self.check(snippet, is_served_module=True) == []
+
+    def test_builder_and_type_references_are_legal(self):
+        snippet = (
+            "def f(results: list[ServedEstimate]) -> ServedEstimate:\n"
+            "    isinstance(results[0], ServedEstimate)\n"
+            "    return served_estimate(1.0, 'worker', 0, False, 0.0, ())\n"
+        )
+        assert self.check(snippet) == []
+
+    def test_served_estimate_accepts_pragma(self):
+        snippet = "ServedEstimate(1.0)  # lint-ok: test fixture\n"
+        assert self.check(snippet) == []

@@ -80,6 +80,45 @@ class TestMetrics:
         with pytest.raises(ValueError):
             reg.counter("ok_total").inc(**{"9bad": 1})
 
+    def test_invalid_label_raises_on_every_call(self):
+        # Validated label keys are memoized; a rejected label set never is.
+        for metric, record in (
+            (obs.Counter("c_total"), lambda m, **kw: m.inc(**kw)),
+            (obs.Gauge("g"), lambda m, **kw: m.set(1.0, **kw)),
+            (Histogram("h_seconds"), lambda m, **kw: m.observe(0.1, **kw)),
+        ):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="invalid label name"):
+                    record(metric, tier="a", **{"bad-name": "x"})
+                record(metric, tier="a")
+            record(metric, tier="a", shard="s")
+            with pytest.raises(ValueError, match="invalid label name"):
+                record(metric, tier="a", **{"bad-name": "s"})
+
+    def test_permuted_labels_land_on_one_series(self):
+        c = obs.Counter("c_total")
+        c.inc(tier="a", shard="s")
+        c.inc(shard="s", tier="a")
+        c.inc(2.0, **{"shard": "s", "tier": "a"})
+        assert c.value(tier="a", shard="s") == 4.0
+        assert [s["value"] for s in c.snapshot()["series"]] == [4.0]
+        h = Histogram("h_seconds", buckets=(1.0,))
+        h.observe(0.5, phase="estimate", estimator="naru")
+        h.observe(0.5, estimator="naru", phase="estimate")
+        assert len(h.snapshot()["series"]) == 1
+        assert h.count(phase="estimate", estimator="naru") == 2
+
+    def test_equal_label_values_of_other_types_keep_their_series(self):
+        # 1, 1.0 and True hash alike but render differently.
+        c = obs.Counter("c_total")
+        for value in ("1", 1, 1.0, True, "1"):
+            c.inc(flag=value)
+        assert {s["labels"]["flag"]: s["value"] for s in c.snapshot()["series"]} == {
+            "1": 3.0,
+            "1.0": 1.0,
+            "True": 1.0,
+        }
+
     def test_log_spaced_buckets(self):
         bounds = log_spaced_buckets(1e-3, 1.0, per_decade=2)
         assert bounds[0] == pytest.approx(1e-3)

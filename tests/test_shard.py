@@ -14,10 +14,13 @@ import repro
 from repro.core import CardinalityEstimator, Predicate, Query
 from repro.faults import NaNFault, WorkerCrashFault, WorkerHangFault
 from repro.lifecycle.retrain import RetryPolicy
+from repro.obs import EventLog, MetricsRegistry
 from repro.registry import make_shard_service
 from repro.shard import (
     AdmissionConfig,
     AdmissionController,
+    ArenaGeneration,
+    DispatchTicket,
     HashRing,
     ShardRequest,
     ShardRouter,
@@ -25,6 +28,7 @@ from repro.shard import (
     routing_key,
     stable_hash,
 )
+import repro.shard.supervisor as supervisor_module
 from repro.shard.supervisor import EXHAUSTED, LIVE, RESTARTING, STOPPED
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -533,6 +537,139 @@ class TestSupervisorFork:
             supervisor.drain()
 
 
+class FakePipe:
+    """The parent's end of a worker pipe, scripted.
+
+    ``reply`` maps each sent frame to the worker's answer frames.  An
+    answer is readable only once the wait has run out: a poll with time
+    left sleeps that time and sees nothing, a final zero-timeout poll
+    sees the pipe's contents — the reply landed right at the deadline.
+    ``closed`` makes the pipe read as a dead worker's (EOF on recv).
+    """
+
+    def __init__(self, reply=None, closed: bool = False) -> None:
+        self.reply = reply
+        self.closed = closed
+        self.inbox: list[tuple] = []
+
+    def send(self, frame: tuple) -> None:
+        if self.reply is not None:
+            self.inbox.extend(self.reply(frame))
+
+    def poll(self, timeout: float) -> bool:
+        if self.closed:
+            return True
+        if timeout > 0.0:
+            time.sleep(timeout)
+            return False
+        return bool(self.inbox)
+
+    def recv(self) -> tuple:
+        if self.closed:
+            raise EOFError
+        return self.inbox.pop(0)
+
+    def close(self) -> None:
+        pass
+
+
+@needs_fork
+class TestReplyWait:
+    """The one reply wait behind serve, swap acks and heartbeats."""
+
+    @pytest.fixture(autouse=True)
+    def short_heartbeat(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "HEARTBEAT_TIMEOUT_SECONDS", 0.05)
+
+    def make(self, tiny_table, pipe: FakePipe):
+        events = EventLog()
+        supervisor = WorkerSupervisor(
+            "s0",
+            ConstantEstimator().fit(tiny_table),
+            1,
+            mode="fork",
+            request_timeout_seconds=0.05,
+            events=events,
+            registry=MetricsRegistry(),
+        )
+        worker = supervisor._workers[0]
+        worker.state = LIVE
+        worker.conn = pipe
+        return supervisor, worker, events
+
+    @staticmethod
+    def failures(events: EventLog) -> list[tuple[str, str]]:
+        return [
+            (e.kind, e["detail"])
+            for e in events.events()
+            if e.kind in ("shard.worker_hang", "shard.worker_crash")
+        ]
+
+    def heartbeat(self, tiny_table, pipe):
+        supervisor, worker, events = self.make(tiny_table, pipe)
+        supervisor.check_health()
+        return worker, events
+
+    def swap(self, tiny_table, pipe):
+        supervisor, worker, events = self.make(tiny_table, pipe)
+        generation = ArenaGeneration(
+            generation=3,
+            name="repro-test-segment",
+            size=0,
+            checksum="",
+            tensor_bytes=0,
+            num_tensors=0,
+        )
+        return supervisor._swap_worker(worker, generation), worker, events
+
+    def serve(self, tiny_table, pipe):
+        supervisor, worker, events = self.make(tiny_table, pipe)
+        ticket = DispatchTicket(
+            distinct_queries(1),
+            None,
+            0.0,
+            worker=worker,
+            request_id=7,
+            deadline=time.monotonic() + 0.05,
+        )
+        return supervisor._receive(ticket), worker, events
+
+    def test_pong_in_the_pipe_at_the_deadline_passes_heartbeat(self, tiny_table):
+        # A stale frame of an abandoned request sits ahead of the pong.
+        pipe = FakePipe(lambda frame: [("result_slot", -1, 0, 0), ("pong", frame[1])])
+        worker, events = self.heartbeat(tiny_table, pipe)
+        assert worker.state == LIVE
+        assert self.failures(events) == []
+        assert pipe.inbox == []
+
+    def test_swap_ack_in_the_pipe_at_the_deadline_is_accepted(self, tiny_table):
+        pipe = FakePipe(lambda frame: [("pong", 1), ("swapped", frame[1])])
+        swapped, worker, events = self.swap(tiny_table, pipe)
+        assert swapped
+        assert worker.state == LIVE
+        assert self.failures(events) == []
+
+    def test_silent_worker_fails_as_hang(self, tiny_table):
+        for wait, detail in (
+            (self.heartbeat, "missed heartbeat"),
+            (self.swap, "swap timeout"),
+            (self.serve, "request timeout"),
+        ):
+            *_, worker, events = wait(tiny_table, FakePipe())
+            assert worker.state == RESTARTING
+            assert self.failures(events) == [("shard.worker_hang", detail)]
+
+    def test_closed_pipe_fails_as_crash(self, tiny_table):
+        for wait, detail in (
+            (self.heartbeat, "pipe closed on heartbeat"),
+            (self.swap, "pipe closed mid-swap"),
+            (self.serve, "pipe closed mid-request"),
+        ):
+            *_, worker, events = wait(tiny_table, FakePipe(closed=True))
+            assert worker.state == RESTARTING
+            assert self.failures(events) == [("shard.worker_crash", detail)]
+
+
 # ----------------------------------------------------------------------
 # Shard + router
 # ----------------------------------------------------------------------
@@ -637,7 +774,7 @@ class TestShardRouter:
         assert fork_answers == inline_answers
 
     def test_rolling_swap_promotes_and_bumps_generations(self, tiny_table, requests):
-        with self.router(tiny_table, cache_capacity=16) as router:
+        with self.router(tiny_table) as router:
             router.serve_batch(requests)
             generations = [
                 s.fallback_service.model_generation

@@ -762,76 +762,3 @@ class TestLiveSwap:
             assert shard0.live_count == 1
         assert swap_outcomes(registry) == {"rolled_back": 1}
         assert not repro_segments()
-
-
-# ----------------------------------------------------------------------
-# Shared semantic cache across shards
-# ----------------------------------------------------------------------
-class TestSharedSemanticCache:
-    def router(self, tiny_table, **kwargs):
-        primary = TensorEstimator(4.0).fit(tiny_table)
-        fallback = TensorEstimator(1.0, name="fallback").fit(tiny_table)
-        kwargs.setdefault("mode", "inline")
-        kwargs.setdefault("num_shards", 2)
-        kwargs.setdefault("semantic_cache", 128)
-        return ShardRouter(primary, [fallback], **kwargs)
-
-    def test_second_pass_served_from_semantic_cache(self, tiny_table):
-        requests = [ShardRequest(query=q) for q in queries_for(10)]
-        with self.router(tiny_table) as router:
-            # A capacity-built cache carries a row sample of the table, so
-            # semantic hits interpolate empirically, not by interval width.
-            sample = router.semantic_cache.sample
-            assert sample is not None
-            assert sample.shape == (tiny_table.num_rows, tiny_table.num_columns)
-            assert {tuple(r) for r in sample} <= {
-                tuple(r) for r in tiny_table.data.astype(np.float32)
-            }
-            first = router.serve_batch(requests)
-            assert all(s.tier != "semantic-cache" for s in first)
-            second = router.serve_batch(requests)
-            assert all(s.tier == "semantic-cache" for s in second)
-            assert [s.estimate for s in second] == [4.0] * 10
-
-    def test_semantic_hits_counted_per_shard(self, tiny_table):
-        from repro.obs import FASTPATH_SEMANTIC, MetricsRegistry
-
-        registry = MetricsRegistry()
-        requests = [ShardRequest(query=q) for q in queries_for(10)]
-        with self.router(tiny_table, registry=registry) as router:
-            router.serve_batch(requests)
-            router.serve_batch(requests)
-        series = registry.counter(FASTPATH_SEMANTIC).snapshot()["series"]
-        outcomes = {}
-        for entry in series:
-            labels = dict(entry["labels"])
-            outcomes.setdefault(labels["outcome"], 0)
-            outcomes[labels["outcome"]] += entry["value"]
-            assert labels["shard"] in ("shard-0", "shard-1")
-        assert outcomes.get("miss", 0) == 10
-        assert outcomes.get("hit", 0) + outcomes.get("semantic_hit", 0) == 10
-
-    def test_shards_do_not_share_entries(self, tiny_table):
-        # Same query forced through two different shards' views must
-        # miss on the second shard: slices are generation-disjoint.
-        with self.router(tiny_table) as router:
-            views = list(router._semantic_views.values())
-            query = queries_for(1)[0]
-            views[0].put(query, 42.0)
-            assert views[0].get(query) == 42.0
-            assert views[1].get(query) is None
-
-    def test_swap_invalidates_only_that_shards_slice(self, tiny_table):
-        requests = [ShardRequest(query=q) for q in queries_for(10)]
-        with self.router(tiny_table) as router:
-            router.serve_batch(requests)
-            served = router.serve_batch(requests)
-            assert all(s.tier == "semantic-cache" for s in served)
-            name = router.route(requests[0])
-            router.shards[name].swap_model(
-                TensorEstimator(8.0).fit(tiny_table)
-            )
-            after = router.serve_batch([requests[0]])[0]
-            # That shard's slice rolled: the answer comes from the new
-            # model, not the stale cached 4.0.
-            assert after.estimate == 8.0
