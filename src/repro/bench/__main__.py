@@ -116,10 +116,6 @@ def _experiment_task(item: tuple, _rng) -> tuple[str, str, float]:
     return name, report, perf_counter() - start
 
 
-def experiment_names() -> list[str]:
-    return list(EXPERIMENTS)
-
-
 def _dump_trace(out_dir: Path, stem: str, collector: obs.SpanCollector) -> list[str]:
     """Write spans/metrics/events collected during the run; return paths."""
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -57,9 +57,6 @@ class _Bucket:
             return None
         return lo, hi
 
-    def contains_box(self, lows: np.ndarray, highs: np.ndarray) -> bool:
-        return bool(np.all(self.lows <= lows) and np.all(self.highs >= highs))
-
     def exclusive_volume(self) -> float:
         vol = self.volume() - sum(c.volume() for c in self.children)
         return max(vol, 1e-12)

@@ -15,8 +15,8 @@ student and teacher (i.e. the log of their q-error).  At inference the
 student answers only when its predicted band is narrow; wide-band
 queries fall back to the teacher, with both outcomes counted under
 ``repro_fastpath_student_total``.  The band threshold is in log space:
-``band_threshold=log(4)`` means "fall back whenever the student is
-predicted to be more than 4x off the teacher".
+:data:`BAND_THRESHOLD` ``= log(4)`` means "fall back whenever the
+student is predicted to be more than 4x off the teacher".
 
 Deployment goes through the lifecycle gate: :func:`distill_into_service`
 evaluates the student against the serving primary with a
@@ -45,6 +45,15 @@ from ..obs.metrics import FASTPATH_STUDENT
 
 #: label clamp matching the nn estimators' exp() guard
 LOG_CLIP = 30.0
+#: share of the distillation workload held out for the confidence model
+HOLDOUT_FRACTION = 0.25
+#: trees in the confidence model (the student's count is ``num_trees``)
+CONFIDENCE_TREES = 24
+#: student tree depth; the confidence model's is two less
+MAX_DEPTH = 6
+LEARNING_RATE = 0.15
+#: widest predicted log residual the student may answer with (4x)
+BAND_THRESHOLD = math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -76,31 +85,15 @@ class DistilledStudent(CardinalityEstimator):
         self,
         teacher: CardinalityEstimator,
         num_queries: int = 2000,
-        holdout_fraction: float = 0.25,
         num_trees: int = 64,
-        confidence_trees: int = 24,
-        max_depth: int = 6,
-        learning_rate: float = 0.15,
-        band_threshold: float = math.log(4.0),
-        use_ce_features: bool = True,
         seed: int = 0,
     ) -> None:
         super().__init__()
         if num_queries < 8:
             raise ValueError("distillation needs at least 8 workload queries")
-        if not 0.0 < holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
-        if band_threshold <= 0.0:
-            raise ValueError("band_threshold must be positive (log-space)")
         self.teacher = teacher
         self.num_queries = num_queries
-        self.holdout_fraction = holdout_fraction
         self.num_trees = num_trees
-        self.confidence_trees = confidence_trees
-        self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.band_threshold = band_threshold
-        self.use_ce_features = use_ce_features
         self.seed = seed
         self._featurizer: LwFeaturizer | None = None
         self._student: GradientBoostedTrees | None = None
@@ -115,17 +108,17 @@ class DistilledStudent(CardinalityEstimator):
         teacher_est = np.asarray(self.teacher.estimate_many(queries), dtype=np.float32)
         log_teacher = np.log(np.maximum(teacher_est, np.float32(1e-9)))
 
-        self._featurizer = LwFeaturizer(table, self.use_ce_features)
+        self._featurizer = LwFeaturizer(table)
         features = self._featurizer.features_many(queries)
 
-        n_holdout = max(2, int(round(self.num_queries * self.holdout_fraction)))
+        n_holdout = max(2, int(round(self.num_queries * HOLDOUT_FRACTION)))
         order = rng.permutation(self.num_queries)
         train_idx, hold_idx = order[n_holdout:], order[:n_holdout]
 
         self._student = GradientBoostedTrees(
             num_trees=self.num_trees,
-            learning_rate=self.learning_rate,
-            max_depth=self.max_depth,
+            learning_rate=LEARNING_RATE,
+            max_depth=MAX_DEPTH,
             monitor_label=self.name,
         ).fit(features[train_idx], log_teacher[train_idx])
 
@@ -135,9 +128,9 @@ class DistilledStudent(CardinalityEstimator):
         hold_pred = self._student.predict(features[hold_idx])
         hold_residual = np.abs(hold_pred - log_teacher[hold_idx])
         self._confidence = GradientBoostedTrees(
-            num_trees=self.confidence_trees,
-            learning_rate=self.learning_rate,
-            max_depth=max(2, self.max_depth - 2),
+            num_trees=CONFIDENCE_TREES,
+            learning_rate=LEARNING_RATE,
+            max_depth=MAX_DEPTH - 2,
             monitor_label=f"{self.name}-confidence",
         ).fit(features[hold_idx], hold_residual)
 
@@ -147,7 +140,7 @@ class DistilledStudent(CardinalityEstimator):
             num_queries=self.num_queries,
             holdout_queries=int(hold_idx.size),
             holdout_p95_log_residual=float(np.percentile(hold_residual, 95.0)),
-            holdout_fallback_fraction=float(np.mean(band > self.band_threshold)),
+            holdout_fallback_fraction=float(np.mean(band > BAND_THRESHOLD)),
             student_size_bytes=self._model_only_size_bytes(),
             teacher_size_bytes=self.teacher.model_size_bytes(),
         )
@@ -172,7 +165,7 @@ class DistilledStudent(CardinalityEstimator):
         queries = list(queries)
         features = self._featurizer.features_many(queries)
         bands = self._predicted_bands(features)
-        wide = bands > self.band_threshold
+        wide = bands > BAND_THRESHOLD
         log_pred = self._student.predict(features)
         out = np.exp(np.clip(log_pred, -LOG_CLIP, LOG_CLIP))
         n_wide = int(np.count_nonzero(wide))
@@ -199,11 +192,6 @@ class DistilledStudent(CardinalityEstimator):
 
     def model_size_bytes(self) -> int:
         return self._model_only_size_bytes()
-
-    @property
-    def fallback_fraction(self) -> float:
-        """Held-out estimate of how often the teacher still answers."""
-        return self.report.holdout_fallback_fraction if self.report else 1.0
 
 
 def distill_into_service(

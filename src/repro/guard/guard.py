@@ -33,8 +33,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.query import Query
-from .bounds import DEFAULT_MAX_EXACT, DEFAULT_NUM_BUCKETS, BoundSketch
-from .ood import DEFAULT_OOD_THRESHOLD, DomainSnapshot, OodDetector, OodVerdict
+from .bounds import BoundSketch
+from .ood import DomainSnapshot, OodDetector, OodVerdict
 
 
 class EstimateGuard:
@@ -45,15 +45,9 @@ class EstimateGuard:
         *,
         bounds_enabled: bool = True,
         ood_enabled: bool = True,
-        ood_threshold: float = DEFAULT_OOD_THRESHOLD,
-        max_exact: int = DEFAULT_MAX_EXACT,
-        num_buckets: int = DEFAULT_NUM_BUCKETS,
     ) -> None:
         self.bounds_enabled = bounds_enabled
         self.ood_enabled = ood_enabled
-        self.ood_threshold = ood_threshold
-        self._max_exact = max_exact
-        self._num_buckets = num_buckets
         self.sketch: BoundSketch | None = None
         self.detector: OodDetector | None = None
         #: attached by the caller after the service exists (the monitor
@@ -70,13 +64,9 @@ class EstimateGuard:
     def fit(self, table, workload=None) -> None:
         """Capture the bound sketch and training-domain snapshot."""
         if self.bounds_enabled:
-            self.sketch = BoundSketch(
-                table, max_exact=self._max_exact, num_buckets=self._num_buckets
-            )
+            self.sketch = BoundSketch(table)
         if self.ood_enabled:
-            self.detector = OodDetector(
-                DomainSnapshot.capture(table, workload), self.ood_threshold
-            )
+            self.detector = OodDetector(DomainSnapshot.capture(table, workload))
 
     def update(self, table, appended=None) -> None:
         """Fold a data update into the sketch (snapshot follows the
@@ -85,9 +75,7 @@ class EstimateGuard:
         if self.sketch is not None:
             self.sketch.update(table, appended)
         if self.detector is not None:
-            self.detector = OodDetector(
-                DomainSnapshot.capture(table, None), self.ood_threshold
-            )
+            self.detector = OodDetector(DomainSnapshot.capture(table, None))
 
     # ------------------------------------------------------------------
     # Serve-time hooks

@@ -9,7 +9,7 @@ watches the per-tenant q-error feedback stream (the same samples that
 feed :class:`~repro.obs.SloRegistry` and the exemplar boards) and, when
 a tenant's recent window shows a sustained violation, **demotes** the
 learned primary out of the fallback chain, replacing it with a
-bounded-error safe tier (the heuristic constant estimator by default).
+bounded-error safe tier (the heuristic constant estimator).
 The swap rides :meth:`~repro.serve.EstimatorService.replace_primary`,
 so it inherits the lifecycle machinery's guarantees: fresh breaker,
 fresh stats, and a cache-generation bump that invalidates every cached
@@ -76,10 +76,12 @@ class QuarantineMonitor:
     probe_interval:
         Feedback samples between automatic re-admission attempts while
         quarantined.
-    safe_factory:
-        Zero-arg factory for the replacement tier; defaults to the
-        magic-constant heuristic (it cannot fail).  The instance is
-        fitted on the service's table before the swap.
+
+    The replacement tier is always a fresh
+    :class:`~repro.serve.heuristic.HeuristicConstantEstimator` (it
+    cannot fail), fitted on the service's table before the swap.  The
+    re-admission gate runs without the §6.3 rule checks
+    (``rule_checks=0``).
     """
 
     def __init__(
@@ -92,10 +94,6 @@ class QuarantineMonitor:
         min_samples: int = 16,
         breach_fraction: float = 0.5,
         probe_interval: int = 32,
-        safe_factory=None,
-        gate_kwargs: dict | None = None,
-        events=None,
-        registry=None,
     ) -> None:
         if qerror_threshold < 1.0:
             raise ValueError("qerror_threshold must be >= 1")
@@ -111,12 +109,7 @@ class QuarantineMonitor:
         self.min_samples = min_samples
         self.breach_fraction = breach_fraction
         self.probe_interval = probe_interval
-        self.safe_factory = safe_factory or HeuristicConstantEstimator
-        self.gate = PromotionGate(
-            list(probe_queries), **(gate_kwargs or {"rule_checks": 0})
-        )
-        self._events = events
-        self._registry = registry
+        self.gate = PromotionGate(list(probe_queries), rule_checks=0)
         self.state = HEALTHY
         self.demotions = 0
         self.readmissions = 0
@@ -151,7 +144,7 @@ class QuarantineMonitor:
         if self.state == QUARANTINED:
             return
         self._quarantined = self.service.primary_estimator
-        safe = self.safe_factory()
+        safe = HeuristicConstantEstimator()
         safe.fit(self.service.table)
         # replace_primary gives the safe tier a fresh breaker and bumps
         # the cache generation — every estimate the bad model cached is
@@ -162,7 +155,7 @@ class QuarantineMonitor:
         self._since_probe = 0
         self.demotions += 1
         self._count("demote")
-        self._obs_events().emit(
+        get_events().emit(
             "guard.quarantine",
             tenant=tenant,
             demoted=self._quarantined.name,
@@ -193,7 +186,7 @@ class QuarantineMonitor:
             self._windows.clear()
             self.readmissions += 1
             self._count("readmit")
-            self._obs_events().emit(
+            get_events().emit(
                 "guard.readmit",
                 model=model.name,
                 generation=self.service.model_generation,
@@ -201,7 +194,7 @@ class QuarantineMonitor:
         else:
             self.probes_failed += 1
             self._count("probe-failed")
-            self._obs_events().emit(
+            get_events().emit(
                 "guard.probe_failed", reasons=list(report.reasons)
             )
         return report
@@ -229,10 +222,6 @@ class QuarantineMonitor:
         )
 
     def _count(self, action: str) -> None:
-        registry = self._registry if self._registry is not None else get_registry()
-        registry.counter(
+        get_registry().counter(
             GUARD_QUARANTINE, "Quarantine transitions, by action"
         ).inc(action=action)
-
-    def _obs_events(self):
-        return self._events if self._events is not None else get_events()

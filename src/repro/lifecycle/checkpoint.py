@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..obs import LIFECYCLE_CHECKPOINTS, EventLog, MetricsRegistry, get_events, get_registry
+from ..obs import LIFECYCLE_CHECKPOINTS, get_events, get_registry
 from ..persistence import PersistenceError, load_bundle, save_bundle
 
 #: ``kind`` tag of checkpoint bundles in the persistence container.
@@ -43,21 +43,12 @@ class Checkpoint:
 class CheckpointStore:
     """A directory of numbered, checksummed training checkpoints."""
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        keep: int = 3,
-        events: EventLog | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path, *, keep: int = 3) -> None:
         if keep < 1:
             raise ValueError(f"keep must be at least 1, got {keep}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
-        self._events = events
-        self._registry = registry
         self.saves = 0
         self.corrupt_skipped = 0
 
@@ -101,7 +92,7 @@ class CheckpointStore:
             except PersistenceError as exc:
                 self.corrupt_skipped += 1
                 self._count("corrupt")
-                self._obs_events().emit(
+                get_events().emit(
                     "lifecycle.checkpoint.corrupt",
                     path=str(path),
                     epoch=epoch,
@@ -120,11 +111,7 @@ class CheckpointStore:
         return len(self.epochs())
 
     # ------------------------------------------------------------------
-    def _obs_events(self) -> EventLog:
-        return self._events if self._events is not None else get_events()
-
     def _count(self, outcome: str) -> None:
-        registry = self._registry if self._registry is not None else get_registry()
-        registry.counter(
+        get_registry().counter(
             LIFECYCLE_CHECKPOINTS, "Training checkpoints, by outcome"
         ).inc(outcome=outcome)

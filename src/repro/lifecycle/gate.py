@@ -7,7 +7,7 @@ runs three families of checks on the candidate:
 
 1. **sanity** — validation answers must be finite and within
    ``[0, num_rows]`` (reusing :func:`repro.rules.enforce.is_sane`); a
-   small ``max_insane_fraction`` is tolerated by default because an
+   small :data:`MAX_INSANE_FRACTION` is tolerated because an
    honest regression model occasionally overshoots ``num_rows``, and
    the serving layer clamps per-answer anyway — the check is aimed at
    NaN-storms and wholesale garbage;
@@ -19,11 +19,11 @@ runs three families of checks on the candidate:
    to the incumbent*: learned estimators violate these rules routinely
    (that is Section 6.3's headline), so an absolute bar would veto every
    honest candidate.  The candidate fails only when its violation rate
-   exceeds ``max(max_violation_rate, incumbent rate + rule_slack)`` —
+   exceeds ``max(MAX_VIOLATION_RATE, incumbent rate + RULE_SLACK)`` —
    i.e. it is allowed to be as illogical as the model it replaces, but
-   not catastrophically more so.  ``rule_slack`` is wide by default
-   because violation rates on a small probe set are noisy (Table 6's
-   rates swing run to run); the check is a guard against pathological
+   not catastrophically more so.  :data:`RULE_SLACK` is wide because
+   violation rates on a small probe set are noisy (Table 6's rates
+   swing run to run); the check is a guard against pathological
    candidates, not a fine discriminator.
 
 The outcome is a :class:`GateReport` listing every reason for rejection,
@@ -40,9 +40,15 @@ import numpy as np
 from ..core.estimator import CardinalityEstimator
 from ..core.metrics import qerrors
 from ..core.table import Table
-from ..core.workload import Workload
 from ..rules.checks import RuleReport, check_consistency, check_monotonicity
 from ..rules.enforce import is_sane
+
+#: share of validation answers allowed to be NaN/inf/out of bounds
+MAX_INSANE_FRACTION = 0.05
+#: absolute floor of the allowed rule-violation rate
+MAX_VIOLATION_RATE = 0.10
+#: how far the candidate's violation rate may exceed the incumbent's
+RULE_SLACK = 0.50
 
 
 @dataclass(frozen=True)
@@ -75,35 +81,19 @@ class PromotionGate:
         validation_queries,
         *,
         regression_tolerance: float = 1.15,
-        max_insane_fraction: float = 0.05,
-        max_violation_rate: float = 0.10,
-        rule_slack: float = 0.50,
         rule_checks: int = 20,
         seed: int = 0,
     ) -> None:
         if regression_tolerance < 1.0:
             raise ValueError("regression_tolerance must be >= 1")
-        if not 0.0 <= max_insane_fraction <= 1.0:
-            raise ValueError("max_insane_fraction must be in [0, 1]")
-        if not 0.0 <= max_violation_rate <= 1.0:
-            raise ValueError("max_violation_rate must be in [0, 1]")
-        if rule_slack < 0.0:
-            raise ValueError("rule_slack must be non-negative")
         if rule_checks < 0:
             raise ValueError("rule_checks must be non-negative")
         self.validation_queries = list(validation_queries)
         if not self.validation_queries:
             raise ValueError("the gate needs at least one validation query")
         self.regression_tolerance = regression_tolerance
-        self.max_insane_fraction = max_insane_fraction
-        self.max_violation_rate = max_violation_rate
-        self.rule_slack = rule_slack
         self.rule_checks = rule_checks
         self.seed = seed
-
-    @classmethod
-    def from_workload(cls, workload: Workload, **kwargs) -> "PromotionGate":
-        return cls(list(workload.queries), **kwargs)
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -140,7 +130,7 @@ class PromotionGate:
 
         sane = np.array([is_sane(v, table.num_rows) for v in cand])
         insane_fraction = float(1.0 - np.mean(sane))
-        if insane_fraction > self.max_insane_fraction:
+        if insane_fraction > MAX_INSANE_FRACTION:
             reasons.append(
                 f"sanity: {insane_fraction:.1%} of validation answers "
                 "NaN/inf/out-of-bounds"
@@ -175,8 +165,7 @@ class PromotionGate:
                 rng = np.random.default_rng(self.seed)
                 inc_report = check(incumbent, table, rng, num_checks=self.rule_checks)
                 allowed = max(
-                    self.max_violation_rate,
-                    inc_report.violation_rate + self.rule_slack,
+                    MAX_VIOLATION_RATE, inc_report.violation_rate + RULE_SLACK
                 )
                 if report.violation_rate > allowed:
                     reasons.append(

@@ -40,9 +40,6 @@ from ..obs import (
     LIFECYCLE_MODEL_GENERATION,
     LIFECYCLE_PROMOTIONS,
     LIFECYCLE_TRANSITIONS,
-    EventLog,
-    MetricsRegistry,
-    SpanCollector,
     get_events,
     get_registry,
     span,
@@ -89,15 +86,9 @@ class ModelLifecycleManager:
         checkpoint_dir: str | Path,
         gate: PromotionGate | None = None,
         policy: RetryPolicy | None = None,
-        checkpoint_every: int = 1,
-        checkpoint_keep: int = 3,
         attempt_deadline_seconds: float | None = None,
         seed: int = 0,
-        clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        events: EventLog | None = None,
-        registry: MetricsRegistry | None = None,
-        collector: SpanCollector | None = None,
         quarantine=None,
     ) -> None:
         self.service = service
@@ -108,17 +99,10 @@ class ModelLifecycleManager:
         self.detector = detector
         self.gate = gate or PromotionGate(list(detector.probe.queries), seed=seed)
         self.policy = policy or RetryPolicy()
-        self.store = CheckpointStore(
-            checkpoint_dir, keep=checkpoint_keep, events=events, registry=registry
-        )
-        self.checkpoint_every = checkpoint_every
+        self.store = CheckpointStore(checkpoint_dir)
         self.attempt_deadline_seconds = attempt_deadline_seconds
         self.seed = seed
-        self._clock = clock
         self._sleep = sleep
-        self._events = events
-        self._registry = registry
-        self._collector = collector
         self.state = "idle"
         self.passes = 0
         if not self.detector.has_baseline:
@@ -150,11 +134,9 @@ class ModelLifecycleManager:
         regressed retrain can never take serving down.
         """
         self.passes += 1
-        with span(
-            "lifecycle.pass", collector=self._collector, generation=self.generation
-        ):
+        with span("lifecycle.pass", generation=self.generation):
             decision = self.detector.check(self.incumbent, new_table)
-            self._obs_events().emit(
+            get_events().emit(
                 "lifecycle.drift",
                 drifted=decision.drifted,
                 reasons=",".join(decision.reasons),
@@ -196,14 +178,9 @@ class ModelLifecycleManager:
             workload,
             store=self.store,
             policy=self.policy,
-            checkpoint_every=self.checkpoint_every,
             attempt_deadline_seconds=self.attempt_deadline_seconds,
             seed=self.seed,
-            clock=self._clock,
             sleep=self._sleep,
-            events=self._events,
-            registry=self._registry,
-            collector=self._collector,
         )
         retrain = job.run()
         if not retrain.succeeded:
@@ -219,9 +196,9 @@ class ModelLifecycleManager:
             )
 
         self._transition("validating")
-        with span("lifecycle.validate", collector=self._collector):
+        with span("lifecycle.validate"):
             report = self.gate.evaluate(candidate, self.incumbent, new_table)
-        self._obs_events().emit(
+        get_events().emit(
             "lifecycle.validated",
             passed=report.passed,
             reasons="; ".join(report.reasons),
@@ -246,7 +223,7 @@ class ModelLifecycleManager:
         self.detector.set_baseline(candidate, new_table)
         self._transition(PROMOTED, generation=self.generation)
         self._count_promotion(PROMOTED)
-        self._obs_registry().gauge(
+        get_registry().gauge(
             LIFECYCLE_MODEL_GENERATION, "Serving model generation"
         ).set(self.generation)
         return LifecycleReport(
@@ -276,20 +253,14 @@ class ModelLifecycleManager:
     # ------------------------------------------------------------------
     def _transition(self, state: str, **fields) -> None:
         previous, self.state = self.state, state
-        self._obs_events().emit(
+        get_events().emit(
             "lifecycle.transition", state=state, previous=previous, **fields
         )
-        self._obs_registry().counter(
+        get_registry().counter(
             LIFECYCLE_TRANSITIONS, "Lifecycle state transitions"
         ).inc(state=state)
 
     def _count_promotion(self, outcome: str) -> None:
-        self._obs_registry().counter(
+        get_registry().counter(
             LIFECYCLE_PROMOTIONS, "Promotion-gate outcomes"
         ).inc(outcome=outcome)
-
-    def _obs_events(self) -> EventLog:
-        return self._events if self._events is not None else get_events()
-
-    def _obs_registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()

@@ -3,9 +3,9 @@
 :class:`RetrainJob` owns one attempt-loop around training a candidate
 estimator.  For estimators implementing the resumable-training protocol
 (``supports_resumable_training``) it drives training in
-``checkpoint_every``-epoch chunks, persisting a
+:data:`CHECKPOINT_EVERY`-epoch chunks, persisting a
 :class:`~repro.lifecycle.checkpoint.CheckpointStore` snapshot after each
-chunk — so a crash (injected or real) costs at most ``checkpoint_every``
+chunk — so a crash (injected or real) costs at most one chunk of
 epochs: the next attempt **resumes from the last good checkpoint instead
 of restarting from epoch 0**.
 
@@ -31,16 +31,11 @@ import numpy as np
 from ..core.estimator import CardinalityEstimator
 from ..core.table import Table
 from ..core.workload import Workload
-from ..obs import (
-    LIFECYCLE_RETRAIN_ATTEMPTS,
-    EventLog,
-    MetricsRegistry,
-    SpanCollector,
-    get_events,
-    get_registry,
-    span,
-)
+from ..obs import LIFECYCLE_RETRAIN_ATTEMPTS, get_events, get_registry, span
 from .checkpoint import CheckpointStore
+
+#: epochs trained between two checkpoint saves
+CHECKPOINT_EVERY = 1
 
 
 class RetrainError(RuntimeError):
@@ -125,17 +120,11 @@ class RetrainJob:
         *,
         store: CheckpointStore | None = None,
         policy: RetryPolicy | None = None,
-        checkpoint_every: int = 1,
         attempt_deadline_seconds: float | None = None,
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        events: EventLog | None = None,
-        registry: MetricsRegistry | None = None,
-        collector: SpanCollector | None = None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
         if attempt_deadline_seconds is not None and attempt_deadline_seconds <= 0.0:
             raise ValueError("attempt_deadline_seconds must be positive")
         self.estimator = estimator
@@ -143,14 +132,10 @@ class RetrainJob:
         self.workload = workload
         self.store = store
         self.policy = policy or RetryPolicy()
-        self.checkpoint_every = checkpoint_every
         self.attempt_deadline_seconds = attempt_deadline_seconds
         self._rng = np.random.default_rng(seed)
         self._clock = clock
         self._sleep = sleep
-        self._events = events
-        self._registry = registry
-        self._collector = collector
 
     # ------------------------------------------------------------------
     @property
@@ -162,12 +147,11 @@ class RetrainJob:
         records: list[AttemptRecord] = []
         with span(
             "lifecycle.retrain",
-            collector=self._collector,
             estimator=self.estimator.name,
             resumable=self.resumable,
         ):
             for attempt in range(self.policy.max_attempts):
-                self._obs_events().emit(
+                get_events().emit(
                     "lifecycle.retrain.attempt",
                     attempt=attempt,
                     estimator=self.estimator.name,
@@ -188,7 +172,7 @@ class RetrainJob:
                     last = attempt == self.policy.max_attempts - 1
                     if not last:
                         backoff = self.policy.backoff_seconds(attempt, self._rng)
-                    self._obs_events().emit(
+                    get_events().emit(
                         "lifecycle.retrain.failed",
                         attempt=attempt,
                         outcome=outcome,
@@ -225,13 +209,13 @@ class RetrainJob:
                     # Training completed; checkpoints have served their
                     # purpose, and the next retrain must start fresh.
                     self.store.clear()
-                self._obs_events().emit(
+                get_events().emit(
                     "lifecycle.retrain.succeeded",
                     attempt=attempt,
                     estimator=self.estimator.name,
                 )
                 return RetrainReport(succeeded=True, attempts=tuple(records))
-        self._obs_events().emit(
+        get_events().emit(
             "lifecycle.retrain.exhausted",
             attempts=self.policy.max_attempts,
             estimator=self.estimator.name,
@@ -251,7 +235,7 @@ class RetrainJob:
         if checkpoint is not None:
             est.restore_training(self.table, self.workload, checkpoint.state)
             resumed_from = checkpoint.epoch
-            self._obs_events().emit(
+            get_events().emit(
                 "lifecycle.retrain.resume",
                 epoch=checkpoint.epoch,
                 estimator=est.name,
@@ -272,7 +256,7 @@ class RetrainJob:
                     f"attempt exceeded {self.attempt_deadline_seconds}s "
                     f"at epoch {est.epochs_trained}/{target}"
                 )
-            chunk = min(self.checkpoint_every, target - est.epochs_trained)
+            chunk = min(CHECKPOINT_EVERY, target - est.epochs_trained)
             est.train_epochs(self.workload, chunk)
             if self.store is not None:
                 self.store.save(est.training_state(), est.epochs_trained)
@@ -282,11 +266,7 @@ class RetrainJob:
         return int(getattr(self.estimator, "epochs_trained", 0) or 0)
 
     # ------------------------------------------------------------------
-    def _obs_events(self) -> EventLog:
-        return self._events if self._events is not None else get_events()
-
     def _count_attempt(self, outcome: str) -> None:
-        registry = self._registry if self._registry is not None else get_registry()
-        registry.counter(
+        get_registry().counter(
             LIFECYCLE_RETRAIN_ATTEMPTS, "Retrain attempts, by outcome"
         ).inc(outcome=outcome)

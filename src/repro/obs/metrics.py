@@ -31,6 +31,7 @@ import json
 import math
 import re
 import threading
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -270,11 +271,12 @@ class Histogram(_Metric):
         one bucket search.  The sum is added ``count`` times, so it
         equals that many :meth:`observe` calls bit for bit."""
         series = self._get(self._check_labels(labels))
-        index = len(self.bounds)  # the +Inf bucket
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # the first bucket with ``value <= bound``; NaN compares false
+        # with every bound, so it lands in the +Inf bucket
+        if value == value:
+            index = bisect_left(self.bounds, value)
+        else:
+            index = len(self.bounds)
         series.counts[index] += count
         total = series.total
         for _ in range(count):

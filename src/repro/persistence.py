@@ -30,7 +30,8 @@ remains — the *skeleton* — is just object structure and scalars.  The
 same split/join machinery backs :class:`repro.shard.shm.ModelArena`,
 which maps the identical layout into ``multiprocessing.shared_memory``
 so forked workers can attach read-only tensor views instead of
-receiving a pickled model.  Format-2 artifacts still load.
+receiving a pickled model.  Only the current format loads: an artifact
+of any other format raises :class:`PersistenceError` naming it.
 """
 
 from __future__ import annotations
@@ -53,14 +54,10 @@ from .core.estimator import CardinalityEstimator
 #: moved ndarrays out of the pickle into an aligned tensor blob).
 FORMAT_VERSION = 3
 
-#: Format versions :func:`load_bundle` / :func:`load_estimator` accept.
-COMPATIBLE_VERSIONS = (2, 3)
-
 _MAGIC = b"repro-estimator"
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
-#: ``kind`` tag of estimator artifacts (bundles without a tag predate
-#: the generic container and are treated as estimator artifacts).
+#: ``kind`` tag of estimator artifacts.
 ESTIMATOR_KIND = "estimator"
 
 
@@ -287,22 +284,23 @@ def save_bundle(obj: object, path: str | Path, *, kind: str) -> None:
     trusted, so a truncated/corrupt file or a bundle of the wrong kind
     raises :class:`PersistenceError` instead of leaking garbage.
     """
-    payload = pickle.dumps(
-        {"kind": kind, "format_version": FORMAT_VERSION}
-        | _split_payload(obj),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    checksum = hashlib.sha256(payload).digest()
-    atomic_write_bytes(path, _MAGIC + checksum + payload)
+    _write_checked(path, {"kind": kind, "format_version": FORMAT_VERSION}, obj)
 
 
-def _split_payload(obj: object) -> dict:
-    """Format-3 payload fields: skeleton pickle + tensor table + blob."""
+def _write_checked(path: str | Path, header: dict, obj: object) -> None:
+    """Pickle ``header`` plus ``obj`` as format-3 fields (skeleton
+    pickle, tensor table, blob) and write it atomically behind the magic
+    and its SHA-256 checksum."""
     skeleton, tensors = split_tensors(obj)
     table, total = tensor_table(tensors)
     blob = bytearray(total)
     write_tensors(tensors, table, blob)
-    return {"skeleton": skeleton, "tensors": table, "blob": bytes(blob)}
+    payload = pickle.dumps(
+        header | {"skeleton": skeleton, "tensors": table, "blob": bytes(blob)},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    checksum = hashlib.sha256(payload).digest()
+    atomic_write_bytes(path, _MAGIC + checksum + payload)
 
 
 def _join_payload(bundle: dict, path: str | Path) -> object:
@@ -315,10 +313,10 @@ def _join_payload(bundle: dict, path: str | Path) -> object:
 
 
 def _check_version(version: object, path: str | Path) -> None:
-    if version not in COMPATIBLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise PersistenceError(
             f"{path} was written with format {version}, "
-            f"this library reads formats {COMPATIBLE_VERSIONS}"
+            f"this library reads format {FORMAT_VERSION}"
         )
 
 
@@ -331,8 +329,6 @@ def load_bundle(path: str | Path, *, kind: str) -> object:
             f"{path} is a {found!r} bundle, expected {kind!r}"
         )
     _check_version(bundle.get("format_version"), path)
-    if "payload" in bundle:  # format 2: inline pickle
-        return bundle["payload"]
     return _join_payload(bundle, path)
 
 
@@ -352,12 +348,7 @@ def save_estimator(estimator: CardinalityEstimator, path: str | Path) -> Artifac
         table_name=table.name,
         num_rows=table.num_rows,
     )
-    payload = pickle.dumps(
-        {"info": info} | _split_payload(estimator),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    checksum = hashlib.sha256(payload).digest()
-    atomic_write_bytes(path, _MAGIC + checksum + payload)
+    _write_checked(path, {"info": info}, estimator)
     return info
 
 
@@ -404,6 +395,5 @@ def _load_estimator_bundle(path: str | Path) -> dict:
     if not isinstance(info, ArtifactInfo):
         raise PersistenceError(f"{path} has no artifact metadata")
     _check_version(info.format_version, path)
-    if "estimator" not in bundle:  # format 3: join skeleton + tensors
-        bundle["estimator"] = _join_payload(bundle, path)
+    bundle["estimator"] = _join_payload(bundle, path)
     return bundle

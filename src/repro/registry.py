@@ -188,13 +188,13 @@ def make_service(
 ) -> EstimatorService:
     """A fault-tolerant :class:`EstimatorService` around ``primary``.
 
-    Keyword arguments (``deadline_ms``, ``breaker``, ``clock``, and the
-    observability sinks ``registry`` / ``collector`` / ``events``) are
-    forwarded to the service; passing a shared
-    :class:`~repro.obs.MetricsRegistry` or
-    :class:`~repro.obs.SpanCollector` lets several services report into
-    one telemetry view, while the default (``None``) uses the
-    process-wide instances from :mod:`repro.obs`.  The fallback tiers
+    Keyword arguments (``deadline_ms``, ``breaker``, ``clock``, ``cache``,
+    and the observability sinks ``registry`` / ``events``) are forwarded
+    to the service; passing a shared :class:`~repro.obs.MetricsRegistry`
+    lets several services report into one telemetry view, while the
+    default (``None``) uses the process-wide instances from
+    :mod:`repro.obs` (spans always go to the process-wide collector).
+    The fallback tiers
     are constructed fresh, so call ``fit`` once on the returned service
     to fit the whole chain (a pre-fitted ``primary`` instance is refit
     along with it).
@@ -296,8 +296,8 @@ def make_lifecycle_manager(
     ``probe_workload`` (baselined against the fitted incumbent), and
     makes fresh registry-configured instances of ``primary`` the
     candidate factory for retrains.  Remaining keyword arguments
-    (``policy``, ``checkpoint_every``, ``attempt_deadline_seconds``,
-    telemetry sinks, ...) are forwarded to the manager.
+    (``gate``, ``policy``, ``attempt_deadline_seconds``, ``seed``,
+    ``sleep``, ``quarantine``) are forwarded to the manager.
     """
     scale = scale or Scale.default()
     service = make_service(primary, fallbacks, scale, **(service_kwargs or {}))

@@ -25,20 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..core.query import Predicate, Query
-
-
-def canonical_predicates(query: Query) -> tuple[Predicate, ...]:
-    """The query's predicates sorted by column index.
-
-    A conjunction is order-insensitive — ``a=1 AND b=2`` and
-    ``b=2 AND a=1`` select the same rows — but :class:`Query` hashes its
-    predicate *tuple*, so the raw query object is order-sensitive.
-    Cache keys use this canonical form, letting semantically identical
-    queries share one entry.  (Columns are distinct per query by
-    construction, so the sort is a total order.)
-    """
-    return tuple(sorted(query.predicates, key=lambda p: p.column))
+from ..core.query import Query
 
 
 def query_signature(query: Query) -> tuple[tuple, ...]:

@@ -37,9 +37,10 @@ The service is fully instrumented through :mod:`repro.obs`: every
 child span per tier attempt, fallback activations / sanitizations /
 NaN catches are emitted as structured events, and per-tier latencies
 feed both the exact-percentile health window and the registry's
-exportable histogram.  Pass ``registry`` / ``collector`` / ``events``
-to aggregate telemetry across services; the defaults are the
-process-wide instances.
+exportable histogram.  Pass ``registry`` / ``events`` to aggregate
+telemetry across services; the defaults are the process-wide
+instances.  Spans go to the process-wide collector, when one is
+installed.
 
 The service is itself a :class:`CardinalityEstimator`, so it drops into
 every harness, can be persisted, and can even be a tier of another
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,7 +75,6 @@ from ..obs import (
     LatencyWindow,
     MetricsRegistry,
     SloRegistry,
-    SpanCollector,
     format_quantiles_ms,
     get_collector,
     get_events,
@@ -372,7 +372,6 @@ class EstimatorService(CardinalityEstimator):
         breaker: BreakerConfig | None = None,
         clock: Callable[[], float] = time.perf_counter,
         registry: MetricsRegistry | None = None,
-        collector: SpanCollector | None = None,
         events: EventLog | None = None,
         cache: EstimateCache | int | None = None,
         slos: SloRegistry | None = None,
@@ -393,7 +392,6 @@ class EstimatorService(CardinalityEstimator):
         # Shared telemetry sinks: callers aggregating across services
         # pass their own; None means the process-wide defaults.
         self._registry = registry
-        self._collector = collector
         self._events = events
         self._slos = slos
         self._exemplars = exemplars
@@ -481,29 +479,29 @@ class EstimatorService(CardinalityEstimator):
         A cache miss is served as a batch of one: the chain walk and the
         answer judgement are :meth:`serve_batch`'s.
         """
-        # Raw-speed path: with no span collection active (neither a
-        # service-local collector nor the process-wide one) the span
+        # Raw-speed path: with no span collector installed the span
         # machinery can only ever yield None, so skip it entirely.  A
         # cache hit then costs single-digit microseconds — the whole
         # point of the fast-path tier — and a miss pays one extra
-        # attribute check before the usual chain walk.
-        if self._collector is None and get_collector() is None:
+        # global read before the usual chain walk.
+        if get_collector() is None:
             served = self._cached_answer(query)
             if served is None:
                 served = self._serve_batch_inner([query])[0]
             return served
-        with span("serve", collector=self._collector, service=self.name) as root:
-            served = self._cached_answer(query)
+        with span("serve", service=self.name) as root:
+            served = self._cached_answer(query, root.trace_id)
             if served is None:
-                served = self._serve_batch_inner([query])[0]
-            if root is not None:
-                root.attrs["tier"] = served.tier
-                root.attrs["degraded"] = served.degraded
-                served = replace(served, trace_id=root.trace_id)
+                served = self._serve_batch_inner([query], root.trace_id)[0]
+            root.attrs["tier"] = served.tier
+            root.attrs["degraded"] = served.degraded
             return served
 
-    def _cached_answer(self, query: Query) -> ServedEstimate | None:
-        """Cache lookup; counts the query and the hit/miss metric."""
+    def _cached_answer(
+        self, query: Query, trace_id: int | None = None
+    ) -> ServedEstimate | None:
+        """Cache lookup; counts the query and the hit/miss metric.
+        ``trace_id`` is the serving span's, carried by the answer."""
         if self.cache is None:
             return None
         start = self._clock()
@@ -525,6 +523,7 @@ class EstimatorService(CardinalityEstimator):
             False,
             self._clock() - start,
             _CACHE_ATTEMPTS,
+            trace_id,
         )
 
     def serve_many(self, queries: Sequence[Query]) -> list[ServedEstimate]:
@@ -588,22 +587,18 @@ class EstimatorService(CardinalityEstimator):
         query gets an answer.
         """
         queries = list(queries)
-        with span(
-            "serve.batch",
-            collector=self._collector,
-            service=self.name,
-            batch=len(queries),
-        ) as root:
-            results = [self._cached_answer(query) for query in queries]
+        with span("serve.batch", service=self.name, batch=len(queries)) as root:
+            trace_id = None if root is None else root.trace_id
+            results = [self._cached_answer(query, trace_id) for query in queries]
             misses = [i for i, served in enumerate(results) if served is None]
-            walked = self._serve_batch_inner([queries[i] for i in misses])
+            walked = self._serve_batch_inner([queries[i] for i in misses], trace_id)
             for i, served in zip(misses, walked):
                 results[i] = served
-            if root is not None:
-                results = [replace(s, trace_id=root.trace_id) for s in results]
             return results  # type: ignore[return-value]
 
-    def _serve_batch_inner(self, queries: Sequence[Query]) -> list[ServedEstimate]:
+    def _serve_batch_inner(
+        self, queries: Sequence[Query], trace_id: int | None = None
+    ) -> list[ServedEstimate]:
         """The chain walk, for queries the cache did not answer.
 
         :meth:`serve` walks a batch of one, :meth:`serve_batch` its
@@ -621,7 +616,8 @@ class EstimatorService(CardinalityEstimator):
         sub-batch size, so attempt counts and latency-sample counts stay
         one-to-one), counters by distinct outcome, and the breaker's
         outcome sequence; per-query events are emitted only for OOD
-        reroutes, rejections, clamps and fallbacks.
+        reroutes, rejections, clamps and fallbacks.  Every answer
+        carries ``trace_id``, the serving span's.
         """
         table = self.table
         start = self._clock()
@@ -645,7 +641,8 @@ class EstimatorService(CardinalityEstimator):
             for i, value in enumerate(trivial):
                 if value == value:
                     results[i] = served_estimate(
-                        value, "shortcut", -1, False, latency, _SHORTCUT_ATTEMPTS
+                        value, "shortcut", -1, False, latency,
+                        _SHORTCUT_ATTEMPTS, trace_id,
                     )
 
         # OOD queries skip the learned primary: the model never saw this
@@ -690,12 +687,7 @@ class EstimatorService(CardinalityEstimator):
                 continue
 
             tier.stats.attempts += k
-            with span(
-                "serve.tier",
-                collector=self._collector,
-                tier=tier.name,
-                batch=k,
-            ) as attempt_span:
+            with span("serve.tier", tier=tier.name, batch=k) as attempt_span:
                 call_start = self._clock()
                 sub = batch if pending == everything else batch.take(pending)
                 try:
@@ -774,6 +766,7 @@ class EstimatorService(CardinalityEstimator):
                             index > 0,
                             latency,
                             tuple(attempts[i]),
+                            trace_id,
                         )
                 pending = still
 
@@ -791,6 +784,7 @@ class EstimatorService(CardinalityEstimator):
                 True,
                 self._clock() - start,
                 tuple(attempts[i]),
+                trace_id,
             )
         assert all(served is not None for served in results)
         return results  # type: ignore[return-value]

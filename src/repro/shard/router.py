@@ -140,7 +140,6 @@ class Shard:
         seed: int = 0,
         events: EventLog | None = None,
         registry: MetricsRegistry | None = None,
-        telemetry: bool = True,
         slos: SloRegistry | None = None,
         exemplars: ExemplarStore | None = None,
         guard=None,
@@ -189,7 +188,6 @@ class Shard:
             seed=seed,
             events=events,
             registry=registry,
-            telemetry=telemetry,
         )
         self.fallback_mode = False
         self.stats = ShardStats()
@@ -455,7 +453,6 @@ class ShardRouter:
         seed: int = 0,
         events: EventLog | None = None,
         registry: MetricsRegistry | None = None,
-        telemetry: bool = True,
         slos: SloRegistry | None = None,
         exemplars: ExemplarStore | None = None,
         guard=None,
@@ -494,7 +491,6 @@ class ShardRouter:
                 seed=seed + i,
                 events=events,
                 registry=registry,
-                telemetry=telemetry,
                 slos=slos,
                 exemplars=exemplars,
                 guard=guard,

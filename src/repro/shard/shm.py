@@ -125,8 +125,8 @@ class ModelArena:
     :meth:`close` unlinks anything still standing.
     """
 
-    def __init__(self, *, prefix: str | None = None) -> None:
-        self._prefix = prefix or _segment_prefix()
+    def __init__(self) -> None:
+        self._prefix = _segment_prefix()
         self._segments: dict[int, shared_memory.SharedMemory] = {}
         self._handles: dict[int, ArenaGeneration] = {}
         self._refs: dict[int, int] = {}
@@ -304,20 +304,15 @@ class ShmRing:
     might still write it is alive).
     """
 
-    def __init__(
-        self,
-        num_slots: int,
-        slot_bytes: int,
-        *,
-        prefix: str | None = None,
-    ) -> None:
+    def __init__(self, num_slots: int, slot_bytes: int) -> None:
         if num_slots < 1 or slot_bytes < HEADER_BYTES:
             raise ValueError("ring needs at least one usable slot")
         self.num_slots = num_slots
         self.slot_bytes = slot_bytes
-        name = f"{prefix or _segment_prefix()}-ring"
         self._segment = shared_memory.SharedMemory(
-            name=name, create=True, size=num_slots * slot_bytes
+            name=f"{_segment_prefix()}-ring",
+            create=True,
+            size=num_slots * slot_bytes,
         )
         self.name = self._segment.name.lstrip("/")
         self._free: list[int] = list(range(num_slots - 1, -1, -1))

@@ -282,7 +282,6 @@ class WorkerSupervisor:
         policy: RetryPolicy | None = None,
         request_timeout_seconds: float = 5.0,
         mode: str = "auto",
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
         arena: ModelArena | None = None,
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
@@ -304,7 +303,8 @@ class WorkerSupervisor:
         self.shard = shard
         self.estimator = estimator
         self.mode = mode
-        self.slot_bytes = slot_bytes
+        #: bytes per ring slot (the ring is sized at ``start``)
+        self.slot_bytes = DEFAULT_SLOT_BYTES
         self._ring: ShmRing | None = None
         self._arena = arena
         self._arena_owned = False

@@ -52,7 +52,13 @@ Eight rules, enforced by walking every module's AST:
    called only in ``serve/service.py``; every other module builds its
    answers through ``served_estimate()``.  The frozen-dataclass
    constructor costs twice the builder, and two ways of building an
-   answer record are two ways for its fields to drift apart.
+   answer record are two ways for its fields to drift apart.  No
+   module, ``serve/service.py`` included, copies a record with
+   ``dataclasses.replace`` (as ``replace(...)`` or
+   ``dataclasses.replace(...)``): the copy runs that same constructor
+   again, so a field an answer needs (its ``trace_id``) goes into the
+   builder instead.  Methods named ``replace`` (``Query.replace``,
+   ``os.replace``, ``str.replace``) are out of scope.
 
 A handler that is *deliberately* silent (e.g. a child process whose
 parent observes the dead pipe) opts out with a ``# lint-ok: <reason>``
@@ -317,6 +323,26 @@ def _served_estimate_calls(tree: ast.AST, lines: list[str]) -> list[int]:
     return found
 
 
+def _dataclass_replace_calls(tree: ast.AST, lines: list[str]) -> list[int]:
+    """Rule 8 matcher: line numbers of ``replace(...)`` and
+    ``dataclasses.replace(...)`` calls."""
+    found: list[int] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        bare = isinstance(func, ast.Name) and func.id == "replace"
+        qualified = (
+            isinstance(func, ast.Attribute)
+            and func.attr == "replace"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "dataclasses"
+        )
+        if (bare or qualified) and not _line_has_pragma(lines, node.lineno):
+            found.append(node.lineno)
+    return found
+
+
 def _violations_in(path: Path) -> list[str]:
     source = path.read_text()
     lines = source.splitlines()
@@ -327,6 +353,12 @@ def _violations_in(path: Path) -> list[str]:
     is_fastpath = FASTPATH_DIR in path.parts
     is_serving = any(d in path.parts for d in SERVING_DIRS)
     is_shard = SHARD_DIR in path.parts
+    for lineno in _dataclass_replace_calls(tree, lines):
+        found.append(
+            f"{rel}:{lineno}: dataclasses.replace() copies a record through "
+            "its frozen-dataclass __init__ — pass the field to the builder "
+            "(served_estimate(..., trace_id)); `# lint-ok: <reason>` to opt out"
+        )
     if tuple(path.parts[-2:]) != SERVED_MODULE:
         for lineno in _served_estimate_calls(tree, lines):
             found.append(
@@ -424,6 +456,7 @@ class TestLintRules:
         lines = snippet.splitlines()
         found = []
         tree = ast.parse(snippet)
+        found.extend("replace" for _ in _dataclass_replace_calls(tree, lines))
         if not is_served_module:
             found.extend("served" for _ in _served_estimate_calls(tree, lines))
         if is_shard:
@@ -726,4 +759,28 @@ class TestLintRules:
 
     def test_served_estimate_accepts_pragma(self):
         snippet = "ServedEstimate(1.0)  # lint-ok: test fixture\n"
+        assert self.check(snippet) == []
+
+    def test_flags_dataclass_replace_of_an_answer(self):
+        snippet = "served = replace(served, trace_id=root.trace_id)\n"
+        assert self.check(snippet) == ["replace"]
+
+    def test_flags_qualified_dataclass_replace(self):
+        snippet = "served = dataclasses.replace(served, trace_id=7)\n"
+        assert self.check(snippet) == ["replace"]
+
+    def test_dataclass_replace_flagged_in_service_module_too(self):
+        snippet = "results = [replace(s, trace_id=t) for s in results]\n"
+        assert self.check(snippet, is_served_module=True) == ["replace"]
+
+    def test_replace_methods_are_legal(self):
+        snippet = (
+            "narrow = query.replace(pred.column, tighter)\n"
+            "os.replace(tmp_name, path)\n"
+            "label = name.replace('-', '_')\n"
+        )
+        assert self.check(snippet) == []
+
+    def test_dataclass_replace_accepts_pragma(self):
+        snippet = "copy = replace(config, seed=1)  # lint-ok: not an answer\n"
         assert self.check(snippet) == []

@@ -139,6 +139,47 @@ class TestMetrics:
         assert h.count() == 5
         assert h.quantile(1.0) == 10.0  # capped at the last finite bound
 
+    @staticmethod
+    def linear_bucket(bounds, value):
+        """The bucket a linear scan picks: the first ``value <= bound``,
+        else the +Inf bucket (NaN compares false with every bound)."""
+        for i, bound in enumerate(bounds):
+            if value <= bound:
+                return i
+        return len(bounds)
+
+    def test_observe_many_bucket_matches_linear_scan(self):
+        rng = np.random.default_rng(5)
+        bounds = DEFAULT_LATENCY_BUCKETS
+        values = [
+            *bounds,  # exactly on a bound: inclusive
+            0.0,
+            -1.0,
+            bounds[0] / 2,  # below the first bound
+            bounds[-1] * 2,  # above the last
+            math.inf,
+            -math.inf,
+            math.nan,
+            *(10.0 ** rng.uniform(-7.0, 3.0, size=200)).tolist(),
+        ]
+        for value in values:
+            h = Histogram("h_seconds")
+            h.observe_many(value, 3)
+            (series,) = h.snapshot()["series"]
+            expected = [0] * (len(bounds) + 1)
+            expected[self.linear_bucket(bounds, value)] = 3
+            assert series["counts"] == expected, value
+            assert series["count"] == 3
+
+    def test_observe_many_sum_equals_repeated_observe(self):
+        bulk, single = Histogram("bulk_seconds"), Histogram("single_seconds")
+        for value in (0.1, 1e-3, 7.3, 0.3):
+            bulk.observe_many(value, 7)
+            for _ in range(7):
+                single.observe(value)
+        assert bulk.sum() == single.sum()  # bit for bit, not approx
+        assert bulk.snapshot()["series"] == single.snapshot()["series"]
+
     def test_histogram_exposition_is_cumulative(self):
         reg = MetricsRegistry()
         h = reg.histogram("lat_seconds", "latency", buckets=(0.1, 1.0))

@@ -132,6 +132,49 @@ class TestFailureModes:
             load_estimator(path)
 
 
+def write_container(path, bundle: dict) -> None:
+    """Frame ``bundle`` the way the library does (magic + SHA-256 +
+    pickle), so only its format, not its integrity, can be wrong."""
+    import hashlib
+    import pickle
+
+    from repro.persistence import _MAGIC
+
+    payload = pickle.dumps(bundle)
+    path.write_bytes(_MAGIC + hashlib.sha256(payload).digest() + payload)
+
+
+class TestOldFormats:
+    """Only the current format loads; a format-2 artifact (its pickle
+    inline, under ``payload`` / ``estimator``) is refused by name."""
+
+    def test_format_2_bundle_rejected(self, tmp_path):
+        path = tmp_path / "old.repro"
+        write_container(
+            path, {"kind": "unit-test", "format_version": 2, "payload": {"x": 1}}
+        )
+        with pytest.raises(PersistenceError, match="written with format 2"):
+            load_bundle(path, kind="unit-test")
+
+    def test_format_2_estimator_rejected(self, small_synthetic, tmp_path):
+        from repro.persistence import ArtifactInfo
+
+        est = PostgresEstimator().fit(small_synthetic)
+        info = ArtifactInfo(
+            format_version=2,
+            estimator_name=est.name,
+            estimator_class=type(est).__qualname__,
+            table_name=small_synthetic.name,
+            num_rows=small_synthetic.num_rows,
+        )
+        path = tmp_path / "old.repro"
+        write_container(path, {"info": info, "estimator": est})
+        with pytest.raises(PersistenceError, match="written with format 2"):
+            load_estimator(path)
+        with pytest.raises(PersistenceError, match="written with format 2"):
+            load_info(path)
+
+
 class TestAtomicWrite:
     def test_writes_bytes(self, tmp_path):
         path = tmp_path / "blob.bin"

@@ -1,8 +1,11 @@
 """Tests for the fault-tolerant serving layer (repro.serve)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import CardinalityEstimator, Predicate, Query
 from repro.faults import ExceptionFault, LatencyFault, NaNFault
 from repro.guard import EstimateGuard
@@ -776,6 +779,72 @@ class TestServiceCache:
         # retry walks the chain again instead of hitting the cache.
         assert second.tier == "last-resort"
         assert len(svc.cache) == 0
+
+
+class TestTracedAnswers:
+    """With a span collector installed, every kind of answer (cache hit,
+    rule shortcut, tier answer, last resort) carries the ``trace_id`` of
+    the call's root span and otherwise equals the untraced answer."""
+
+    HIT = Query((Predicate(0, 1.0, 3.0),))
+    MISS = Query((Predicate(1, 20.0, 40.0),))
+    EMPTY = Query((Predicate(0, 3.0, 1.0),))  # rule shortcut
+
+    CHAINS = {
+        "healthy": lambda: StubEstimator(4.0),
+        "failing": lambda: NaNFault(StubEstimator(4.0), probability=1.0, seed=3),
+    }
+
+    def service(self, chain: str, table) -> EstimatorService:
+        # A frozen clock makes every latency 0.0, so the traced and the
+        # untraced answers can be compared field by field.
+        svc = EstimatorService([self.CHAINS[chain]()], cache=64, clock=FakeClock())
+        svc.fit(table)
+        return svc
+
+    def check(self, untraced, traced, roots, per_call):
+        assert all(s.trace_id is None for s in untraced)
+        trace_ids = [root.trace_id for root in roots]
+        assert None not in trace_ids and len(set(trace_ids)) == len(roots)
+        expected = [
+            replace(s, trace_id=trace_ids[call])
+            for s, call in zip(untraced, per_call)
+        ]
+        assert traced == expected
+
+    @pytest.mark.parametrize(
+        "chain, tiers",
+        [
+            ("healthy", ["stub", "cache", "shortcut", "stub"]),
+            ("failing", ["last-resort", "last-resort", "shortcut", "last-resort"]),
+        ],
+    )
+    def test_serve(self, tiny_table, chain, tiers):
+        queries = [self.HIT, self.HIT, self.EMPTY, self.MISS]
+        plain = self.service(chain, tiny_table)
+        untraced = [plain.serve(q) for q in queries]
+        collector = obs.install_collector()
+        svc = self.service(chain, tiny_table)
+        traced = [svc.serve(q) for q in queries]
+        assert [s.tier for s in traced] == tiers
+        self.check(untraced, traced, collector.spans("serve"), [0, 1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "chain, tiers",
+        [
+            ("healthy", ["stub", "shortcut", "cache", "stub"]),
+            ("failing", ["last-resort", "shortcut", "last-resort", "last-resort"]),
+        ],
+    )
+    def test_serve_batch(self, tiny_table, chain, tiers):
+        batches = [[self.HIT, self.EMPTY], [self.HIT, self.MISS]]
+        plain = self.service(chain, tiny_table)
+        untraced = [s for batch in batches for s in plain.serve_batch(batch)]
+        collector = obs.install_collector()
+        svc = self.service(chain, tiny_table)
+        traced = [s for batch in batches for s in svc.serve_batch(batch)]
+        assert [s.tier for s in traced] == tiers
+        self.check(untraced, traced, collector.spans("serve.batch"), [0, 0, 1, 1])
 
 
 class TestHotSwapCacheInvalidation:
