@@ -16,6 +16,8 @@ from repro.estimators.learned import (
     NaruEstimator,
 )
 
+pytestmark = pytest.mark.paper
+
 
 def _geo(errors: np.ndarray) -> float:
     return float(np.exp(np.log(errors).mean()))

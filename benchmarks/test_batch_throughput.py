@@ -48,13 +48,13 @@ def baseline():
 
 
 @pytest.fixture(scope="module")
-def live(ctx, record_result):
-    """A fresh run of the experiment; refreshes the text table only
-    (the JSON baseline is regenerated via ``python -m repro.bench
-    batch`` so committed numbers are never silently overwritten by a
-    noisy test run)."""
+def live(ctx, record_scratch):
+    """A fresh run of the experiment; its table goes to a scratch dir
+    (both committed artifacts are regenerated via ``python -m
+    repro.bench batch`` so committed numbers are never silently
+    overwritten by a noisy test run)."""
     out = batch_throughput(ctx)
-    record_result("batch_throughput", format_batch(out))
+    record_scratch("batch_throughput", format_batch(out))
     return {r.method: r for r in out}
 
 

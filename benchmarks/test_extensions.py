@@ -17,6 +17,8 @@ from repro.estimators.learned import NaruEstimator
 from repro.planner import SingleTablePlanner
 from repro.tuning import SearchSpace, grid_search, successive_halving
 
+pytestmark = pytest.mark.paper
+
 
 def _geo(errors: np.ndarray) -> float:
     return float(np.exp(np.log(errors).mean()))

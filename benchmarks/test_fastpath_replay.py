@@ -114,7 +114,7 @@ class TestCommittedFastPathBaseline:
 
 
 @pytest.mark.slow
-def test_100k_query_replay_steady_state(ctx, record_result):
+def test_100k_query_replay_steady_state(ctx, record_scratch):
     """100k+ queries through the int8+cache tier: hit rate, latency,
     and the monotonicity bound on every semantic answer."""
     table = ctx.table("census")
@@ -150,7 +150,7 @@ def test_100k_query_replay_steady_state(ctx, record_result):
     # scalar model inference (hundreds of us for mscn at any scale).
     assert p50_us < 100.0, f"steady-state p50 {p50_us:.0f}us"
 
-    record_result(
+    record_scratch(
         "fastpath_replay",
         "\n".join(
             [

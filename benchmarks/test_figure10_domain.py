@@ -4,6 +4,8 @@ import pytest
 
 from repro.bench.robustness import figure10, format_sweep
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def cells(ctx, record_result):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.bench.robustness import figure11, format_figure11
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def result(ctx, record_result):

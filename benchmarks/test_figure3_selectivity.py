@@ -1,9 +1,12 @@
 """Figure 3: selectivity distribution of the unified workload."""
 
 import numpy as np
+import pytest
 
 from repro.bench.static import format_figure3, figure3
 from repro.core.workload import WorkloadGenerator
+
+pytestmark = pytest.mark.paper
 
 
 def test_figure3(ctx, record_result, benchmark):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.bench.static import figure4, format_figure4
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def rows(ctx, record_result):

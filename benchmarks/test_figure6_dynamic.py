@@ -4,6 +4,8 @@ import pytest
 
 from repro.bench.dynamic_exp import figure6, format_figure6
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def cells(ctx, record_result):

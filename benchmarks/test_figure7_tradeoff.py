@@ -4,6 +4,8 @@ import pytest
 
 from repro.bench.dynamic_exp import figure7, format_figure7
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def points(ctx, record_result):

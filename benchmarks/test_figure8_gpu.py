@@ -8,6 +8,8 @@ import pytest
 
 from repro.bench.dynamic_exp import figure8, format_figure8
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def cells(ctx, record_result):

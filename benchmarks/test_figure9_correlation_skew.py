@@ -5,6 +5,8 @@ import pytest
 
 from repro.bench.robustness import figure9a, figure9b, format_sweep
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def corr_cells(ctx, record_result):

@@ -1,6 +1,6 @@
 """Estimate guardrails under adversarial faults (see repro.guard).
 
-Two layers of checking, mirroring ``test_scale_serving``:
+Two layers of checking:
 
 * a **live run** of the guard experiment at the session scale, asserting
   the qualitative invariants (full availability, bounded worst case, a
@@ -34,9 +34,9 @@ EXPECTED_SCENARIOS = {"correlated-shift", "ood-shift", "update-skew"}
 
 
 @pytest.fixture(scope="module")
-def result(ctx, record_result):
+def result(ctx, record_scratch):
     out = run_guard_bench(ctx, replay=96)
-    record_result("guard", format_guard(out))
+    record_scratch("guard", format_guard(out))
     return out
 
 
@@ -139,8 +139,7 @@ class TestCommittedBaseline:
         assert cycle["readmissions"] >= 1
         assert cycle["final_state"] == "healthy"
 
-    def test_coexists_with_the_scale_sections(self, payload):
-        # Merge discipline: regenerating the guard section must not have
-        # clobbered the scale experiment's payload (and vice versa).
-        assert payload["experiment"] == "scale_serving"
-        assert "scenarios" in payload and payload["scenarios"]
+    def test_guard_is_the_only_section(self, payload):
+        # The guard experiment is the file's one writer and writes it
+        # whole: no stale section of a deleted experiment survives.
+        assert set(payload) == {"guard"}

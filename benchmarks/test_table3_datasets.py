@@ -1,7 +1,11 @@
 """Table 3: dataset characteristics, plus dataset-construction benchmark."""
 
+import pytest
+
 from repro.bench.static import format_table3, table3
 from repro.datasets import census
+
+pytestmark = pytest.mark.paper
 
 
 def test_table3(ctx, record_result, benchmark):

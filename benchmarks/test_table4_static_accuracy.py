@@ -10,6 +10,8 @@ import pytest
 from repro.bench.static import DATASETS, format_table4, table4
 from repro.registry import LEARNED_NAMES, TRADITIONAL_NAMES
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def results(ctx, record_result):

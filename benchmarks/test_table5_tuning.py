@@ -4,6 +4,8 @@ import pytest
 
 from repro.bench.static import format_table5, table5
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def results(ctx, record_result):

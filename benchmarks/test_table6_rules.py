@@ -4,6 +4,8 @@ import pytest
 
 from repro.bench.rules_exp import format_table6, table6
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def results(ctx, record_result):

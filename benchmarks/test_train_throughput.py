@@ -92,12 +92,12 @@ class TestCommittedBaseline:
 
 
 class TestLiveEquivalence:
-    def test_parallel_sweep_is_bit_identical(self, ctx, record_result):
+    def test_parallel_sweep_is_bit_identical(self, ctx, record_scratch):
         """The non-negotiable live check: fan-out never changes results."""
         out = fanout_result(ctx, workers=4)
         assert out.results_equal
         assert out.cpu_count == detect_worker_count()
-        record_result(
+        record_scratch(
             "train_fanout",
             f"fanout: {out.trials} trials x {out.workers} workers on "
             f"{out.cpu_count} cpus; serial {out.serial_seconds:.2f}s, "

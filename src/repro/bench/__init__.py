@@ -7,12 +7,9 @@ functions directly with a :class:`~repro.bench.context.BenchContext`.
 from .context import BenchContext
 from .dynamic_exp import figure6, figure7, figure8
 from .figure2 import comparison_graph, missing_edge_fraction
-from .lifecycle_exp import lifecycle_experiment
-from .obs_exp import obs_experiment
 from .reporting import format_seconds, render_table
 from .robustness import figure9a, figure9b, figure10, figure11
 from .rules_exp import table6
-from .serving_exp import serving_experiment
 from .static import figure3, figure4, table3, table4, table5
 
 __all__ = [
@@ -28,11 +25,8 @@ __all__ = [
     "figure9a",
     "figure9b",
     "format_seconds",
-    "lifecycle_experiment",
     "missing_edge_fraction",
-    "obs_experiment",
     "render_table",
-    "serving_experiment",
     "table3",
     "table4",
     "table5",

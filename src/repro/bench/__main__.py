@@ -4,8 +4,7 @@ Usage::
 
     python -m repro.bench table4 [--scale ci|default|paper] [--seed N]
     python -m repro.bench all --scale ci --jobs 4
-    python -m repro.bench serving --trace-out          # + telemetry dump
-    python -m repro.bench obs --scale ci               # telemetry IS the output
+    python -m repro.bench guard --trace-out            # + telemetry dump
     python -m repro.bench train                        # parallel/kernel baseline
 
 ``--jobs N`` fans independent work across N worker processes via
@@ -40,11 +39,7 @@ from .fastpath_exp import fastpath_experiment
 from .guard_exp import guard_experiment
 from .context import BenchContext
 from .train_exp import format_train, train_experiment
-from .lifecycle_exp import format_lifecycle, lifecycle_experiment
-from .obs_exp import format_obs, obs_experiment
 from .obs_report import format_obs_report, obs_report_experiment
-from .scale_exp import format_scale, scale_experiment
-from .serving_exp import format_serving, serving_experiment
 from .dynamic_exp import (
     figure6,
     figure7,
@@ -91,15 +86,11 @@ EXPERIMENTS: dict[str, Callable[[BenchContext], str]] = {
     ),
     "figure11": lambda ctx: robustness.format_figure11(figure11(ctx)),
     "table6": lambda ctx: format_table6(table6(ctx)),
-    "serving": lambda ctx: format_serving(serving_experiment(ctx)),
-    "lifecycle": lambda ctx: format_lifecycle(lifecycle_experiment(ctx)),
-    "obs": lambda ctx: format_obs(obs_experiment(ctx)),
     "obs-report": lambda ctx: format_obs_report(obs_report_experiment(ctx)),
     "batch": lambda ctx: batch_experiment(ctx),
     "fastpath": lambda ctx: fastpath_experiment(ctx),
     "guard": lambda ctx: guard_experiment(ctx),
     "train": lambda ctx: format_train(train_experiment(ctx)),
-    "scale": lambda ctx: format_scale(scale_experiment(ctx)),
 }
 
 
@@ -189,9 +180,8 @@ def main(argv: list[str] | None = None) -> int:
         obs.install_monitor()
 
     # A supervisor's SIGTERM gets the same graceful path as Ctrl-C:
-    # experiments unwind via KeyboardInterrupt (flushing their partial
-    # artifacts, e.g. the scale experiment's BENCH_serve.json), the
-    # trace dump below still runs, and the exit code is non-zero.
+    # experiments unwind via KeyboardInterrupt, the trace dump below
+    # still runs, and the exit code is non-zero.
     previous_sigterm = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
 
     wall_start = perf_counter()
@@ -237,10 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
         try:
-            if collector is not None and names != ["obs"]:
-                # The obs experiment writes its own (richer) obs_*
-                # artifacts.  On interrupt the spans/metrics/events
-                # gathered so far are still flushed.
+            if collector is not None:
+                # On interrupt the spans/metrics/events gathered so far
+                # are still flushed.
                 stem = "all" if "all" in args.experiment else "_".join(names)
                 for path in _dump_trace(Path(args.trace_out), stem, collector):
                     print(f"[trace written: {path}]")

@@ -23,9 +23,7 @@ A separate **quarantine cycle** drives a bounded incident window
 demotion and automatic probe-gated re-admission.  Latency overhead is
 measured on a clean chain, guard off vs on.
 
-Results merge into ``BENCH_serve.json`` under a ``guard`` key — the
-scale experiment's sections are preserved verbatim, the same merge
-discipline ``fastpath`` uses in ``BENCH_batch.json`` — plus the
+Results land in ``BENCH_serve.json`` under a ``guard`` key, plus the
 human-readable ``benchmarks/results/guard.txt``.  Acceptance: overall
 worst-case q-error with guardrails on is <= 1/10th of the unguarded
 worst case, availability stays 1.0, and clean-path p50 overhead is
@@ -483,17 +481,9 @@ def write_guard_artifacts(
     json_path: str | Path = "BENCH_serve.json",
     text_path: str | Path = "benchmarks/results/guard.txt",
 ) -> list[Path]:
-    """Merge a ``guard`` section into ``BENCH_serve.json``; write text.
-
-    The scale experiment's payload is preserved verbatim — only the
-    ``guard`` key is replaced.
-    """
+    """Write ``BENCH_serve.json`` (one ``guard`` section) and the text."""
     json_path, text_path = Path(json_path), Path(text_path)
-    try:
-        payload = json.loads(json_path.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload["guard"] = {
+    guard = {
         "method": result.method,
         "dataset": result.dataset,
         "scale": ctx.scale.name,
@@ -512,7 +502,7 @@ def write_guard_artifacts(
         "quarantine": asdict(result.quarantine),
     }
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps({"guard": guard}, indent=2, sort_keys=True) + "\n")
     text_path.parent.mkdir(parents=True, exist_ok=True)
     text_path.write_text(format_guard(result) + "\n")
     return [json_path, text_path]

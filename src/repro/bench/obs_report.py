@@ -1,9 +1,8 @@
-"""Observability report: per-tenant SLO dashboard, exemplars, overhead.
+"""Observability report: per-tenant SLO dashboard and exemplars.
 
-Where :mod:`repro.bench.obs_exp` exercises the in-process telemetry
-pipeline (spans, metrics, training monitor), this experiment exercises
-the *cross-process* layer end to end and renders what an operator of the
-sharded serving tier would actually look at:
+This experiment exercises the cross-process telemetry layer end to end
+and renders what an operator of the sharded serving tier would actually
+look at:
 
 * a sharded replay (forked workers, telemetry piggybacked on the reply
   pipes) driven through a forced **SLO breach → recovery cycle**: slowed
@@ -15,16 +14,12 @@ sharded serving tier would actually look at:
 * the **per-tenant SLO dashboard** (burn rates, breach counts), the
   **exemplar boards** (worst q-error and slowest estimates, each linked
   to its trace id), and the cross-process **telemetry invariant** check
-  (merged per-worker counters vs the parent's accepted answers);
-* an **overhead micro-benchmark**: batch-serve throughput through a
-  worker pool with telemetry on vs off (best of N trials each); the
-  acceptance bar is telemetry costing under 5% of throughput.
+  (merged per-worker counters vs the parent's accepted answers).
 
-Artifacts: ``benchmarks/results/obs_report.jsonl`` (SLO statuses,
-board-tagged exemplars and the overhead record, one JSON object per
-line) and ``benchmarks/results/obs_overhead.txt`` (the overhead
-verdict).  When the CLI installed a span collector (``--trace-out``),
-merged worker spans land in it and ride along in the exported trace.
+Artifact: ``benchmarks/results/obs_report.jsonl`` (SLO statuses and
+board-tagged exemplars, one JSON object per line).  When the CLI
+installed a span collector (``--trace-out``), merged worker spans land
+in it and ride along in the exported trace.
 """
 
 from __future__ import annotations
@@ -47,11 +42,9 @@ from ..obs import (
     install_collector,
     uninstall_collector,
 )
-from ..obs.clock import perf_counter
 from ..obs.slo import LATENCY, QERROR, SloObjective
 from ..serve import HeuristicConstantEstimator
 from ..shard import ShardRequest, ShardRouter
-from ..shard.supervisor import WorkerSupervisor
 from .context import BenchContext
 from .reporting import render_table
 
@@ -62,14 +55,10 @@ OBS_REPLAY = {"ci": 2_048, "default": 8_192, "paper": 16_384}
 #: dispatch batch size for the breach/recovery replay
 OBS_CHUNK = 256
 
-#: queries per overhead-trial (one pool, fork round trips included);
-#: the chunk matches the serving tier's DEFAULT_CHUNK so the snapshot
-#: cost is amortised exactly as it is in production dispatch
-OVERHEAD_QUERIES = 16_384
-OVERHEAD_CHUNK = 2_048
-
-#: tight latency objective (milliseconds): slowed workers sit far above
-#: it, a healthy pool far below — see SLO_BREACH_OBJECTIVE in scale_exp
+#: tight latency objective: any per-request latency above 0.3 ms burns
+#: error budget.  Slowed workers sit far above it (0.15 s per batch), a
+#: healthy pool far below; ``breach_burn_rate=20`` keeps a single noisy
+#: batch from paging
 LATENCY_OBJECTIVE = SloObjective(
     LATENCY,
     threshold=0.3,
@@ -96,37 +85,6 @@ QERROR_OBJECTIVE = SloObjective(
 
 
 @dataclass(frozen=True)
-class ObsOverhead:
-    """Telemetry on/off batch-serve throughput comparison."""
-
-    telemetry_on_qps: float
-    telemetry_off_qps: float
-    trials: int
-    queries: int
-    chunk: int
-    mode: str
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Throughput given up to telemetry (negative = within noise)."""
-        if self.telemetry_off_qps <= 0.0:
-            return 0.0
-        return 1.0 - self.telemetry_on_qps / self.telemetry_off_qps
-
-    def to_dict(self) -> dict:
-        return {
-            "record": "overhead",
-            "telemetry_on_qps": self.telemetry_on_qps,
-            "telemetry_off_qps": self.telemetry_off_qps,
-            "overhead_fraction": self.overhead_fraction,
-            "trials": self.trials,
-            "queries": self.queries,
-            "chunk": self.chunk,
-            "mode": self.mode,
-        }
-
-
-@dataclass(frozen=True)
 class ObsReportResult:
     """Everything :func:`format_obs_report` renders."""
 
@@ -149,69 +107,13 @@ class ObsReportResult:
     worker_spans: int
     #: >=1 worker span re-parented under a serve.batch span
     worker_spans_reparented: bool | None
-    overhead: ObsOverhead
     jsonl_path: str | None
-    overhead_path: str | None
 
 
 def _stream(ctx: BenchContext, dataset: str, target: int) -> list[Query]:
     base = list(ctx.test_workload(dataset).queries)
     multiplier = max(1, -(-target // len(base)))  # ceil
     return queue_flood(base, multiplier=multiplier, seed=ctx.seed)[:target]
-
-
-def measure_overhead(
-    ctx: BenchContext,
-    *,
-    dataset: str = "census",
-    trials: int = 3,
-    queries: int = OVERHEAD_QUERIES,
-    chunk: int = OVERHEAD_CHUNK,
-    mode: str = "auto",
-) -> ObsOverhead:
-    """Best-of-``trials`` dispatch throughput, telemetry on vs off.
-
-    Each trial forks a fresh single-worker pool (so capture install cost
-    is paid inside the measured region's setup, not amortised away) and
-    replays the same chunked stream.  Best-of damps scheduler noise; the
-    *ratio* of the two bests is the overhead.
-    """
-    estimator = ctx.fresh_estimator("sampling", dataset)
-    stream = _stream(ctx, dataset, queries)
-    best = {True: 0.0, False: 0.0}
-    resolved_mode = mode
-    # Interleave on/off trials so slow machine drift (thermal, cache)
-    # hits both sides evenly instead of biasing whichever ran last.
-    for _ in range(trials):
-        for telemetry in (True, False):
-            supervisor = WorkerSupervisor(
-                "overhead",
-                estimator,
-                1,
-                mode=mode,
-                telemetry=telemetry,
-                registry=MetricsRegistry(),
-                events=EventLog(),
-            )
-            resolved_mode = supervisor.mode
-            supervisor.start()
-            try:
-                supervisor.dispatch(stream[:chunk])  # warm the pipe
-                start = perf_counter()
-                for lo in range(0, len(stream), chunk):
-                    supervisor.dispatch(stream[lo : lo + chunk])
-                qps = len(stream) / (perf_counter() - start)
-            finally:
-                supervisor.drain()
-            best[telemetry] = max(best[telemetry], qps)
-    return ObsOverhead(
-        telemetry_on_qps=best[True],
-        telemetry_off_qps=best[False],
-        trials=trials,
-        queries=queries,
-        chunk=chunk,
-        mode=resolved_mode,
-    )
 
 
 def obs_report_experiment(
@@ -222,10 +124,9 @@ def obs_report_experiment(
     num_shards: int = 2,
     workers_per_shard: int = 2,
     mode: str = "auto",
-    trials: int = 3,
     out_dir: str | Path | None = "benchmarks/results",
 ) -> ObsReportResult:
-    """Run the breach/recovery replay, label feedback, measure overhead."""
+    """Run the breach/recovery replay and label feedback."""
     table = ctx.table(dataset)
     primary = ctx.fresh_estimator("sampling", dataset)
     heuristic = HeuristicConstantEstimator()
@@ -317,11 +218,8 @@ def obs_report_experiment(
         if e.kind in ("slo.breach", "slo.recovered")
     )
     statuses = tuple(slos.statuses())
-    overhead = measure_overhead(
-        ctx, dataset=dataset, trials=trials, mode=mode
-    )
 
-    jsonl_path = overhead_path = None
+    jsonl_path = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -351,11 +249,7 @@ def obs_report_experiment(
                         )
                         + "\n"
                     )
-            fh.write(json.dumps(overhead.to_dict(), sort_keys=True) + "\n")
         jsonl_path = str(jsonl)
-        overhead_txt = out / "obs_overhead.txt"
-        overhead_txt.write_text(format_overhead(overhead) + "\n")
-        overhead_path = str(overhead_txt)
 
     return ObsReportResult(
         queries=len(requests),
@@ -370,28 +264,7 @@ def obs_report_experiment(
         worker_answered=totals.worker_answered,
         worker_spans=len(worker_spans),
         worker_spans_reparented=worker_spans_reparented,
-        overhead=overhead,
         jsonl_path=jsonl_path,
-        overhead_path=overhead_path,
-    )
-
-
-def format_overhead(overhead: ObsOverhead) -> str:
-    """The obs_overhead.txt artifact: the <5% acceptance bar, verdict."""
-    pct = 100.0 * overhead.overhead_fraction
-    verdict = "PASS" if overhead.overhead_fraction < 0.05 else "FAIL"
-    return "\n".join(
-        [
-            "Cross-process telemetry overhead "
-            "(batch dispatch through one supervised worker)",
-            f"  mode:            {overhead.mode}",
-            f"  stream:          {overhead.queries:,} queries, "
-            f"chunk {overhead.chunk}, best of {overhead.trials} trials",
-            f"  telemetry on:    {overhead.telemetry_on_qps:,.0f} qps",
-            f"  telemetry off:   {overhead.telemetry_off_qps:,.0f} qps",
-            f"  overhead:        {pct:.2f}% of throughput",
-            f"  bar:             < 5%  ->  {verdict}",
-        ]
     )
 
 
@@ -477,10 +350,7 @@ def format_obs_report(result: ObsReportResult) -> str:
                 else "(inline mode: none expected)"
             )
         ),
-        format_overhead(result.overhead),
     ]
     if result.jsonl_path:
-        parts.append(
-            f"Artifacts: {result.jsonl_path}, {result.overhead_path}"
-        )
+        parts.append(f"Artifact: {result.jsonl_path}")
     return "\n\n".join(parts)

@@ -15,7 +15,7 @@ the clock is checked between epoch chunks, so a hanging attempt is
 abandoned with :class:`AttemptTimeout` at the next chunk boundary and
 its progress survives in the checkpoint store.
 
-``clock`` and ``sleep`` are injectable for tests (and the bench harness
+``clock`` and ``sleep`` are injectable for tests (``tests/test_lifecycle.py``
 uses ``sleep`` as a hook to keep serving probe traffic during backoff,
 proving availability through a failing retrain).
 """

@@ -26,7 +26,8 @@ Because captures are deltas and the worker resets its registry on every
 take, a reply that never arrives (crash, timeout, stale late answer)
 simply loses that delta — counts are *at-most-once*, never duplicated,
 which is what keeps the per-worker serve-counter sum exactly equal to
-the parent's accepted-dispatch count even through the chaos matrix.
+the parent's accepted-dispatch count even through crashes and
+re-dispatches.
 
 Snapshots are bounded (``max_spans`` / ``max_events``, drop-oldest);
 anything dropped — by the bound, by ring-buffer eviction between takes,

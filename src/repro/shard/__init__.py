@@ -29,9 +29,9 @@ runs without one.  Answers are built by
 ``ServedEstimate`` builder (``tests/test_lint.py`` rule 8).
 
 Every request gets an answer — worker, fallback chain, or heuristic
-shed tier — so availability stays 1.0 under the whole chaos matrix
-(worker crashes, hangs, slow workers, queue floods, model corruption,
-failed swaps, exhausted restart budgets).
+shed tier — so availability stays 1.0 under worker crashes, hangs,
+slow workers, queue floods, model corruption, failed swaps and
+exhausted restart budgets (``tests/test_shard.py``).
 """
 
 from .admission import (

@@ -20,8 +20,8 @@ sides from the header counts)::
     his      f64[n_preds]
 
 Bounds travel as raw IEEE doubles behind presence bits, so open-sided
-predicates, NaN and ±inf all round-trip exactly — the chaos matrix
-asserts that forked answers are bit-identical to in-process ones.
+predicates, NaN and ±inf all round-trip exactly — forked answers are
+bit-identical to in-process ones.
 
 Result frame::
 

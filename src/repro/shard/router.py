@@ -14,8 +14,8 @@ million-query traffic across ``num_shards`` independent shards; each
   dispatch failure, or a fully exhausted restart budget.
 
 Every request admitted to the router gets an answer — worker, fallback,
-or shed-to-heuristic — which is what the chaos matrix's availability
-== 1.0 gate measures.
+or shed-to-heuristic — so availability stays 1.0 whatever the workers
+do.
 
 Rolling model swaps (:meth:`ShardRouter.rolling_swap`) are driven by
 the :mod:`repro.lifecycle` promotion machinery: the candidate must pass

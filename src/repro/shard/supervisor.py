@@ -130,7 +130,6 @@ def _worker_main(
     conn,
     shard: str = "",
     worker_name: str = "",
-    telemetry: bool = False,
     ring: ShmRing | None = None,
 ) -> None:
     """Worker body: answer serve/ping/swap messages until told to stop.
@@ -146,17 +145,15 @@ def _worker_main(
     generation: it attaches read-only tensor views and drops its
     previous attachment — the model itself never crosses the pipe.
 
-    With ``telemetry`` on, the worker resets its fork-copied telemetry
-    singletons, installs a delta capture, and attaches a snapshot to
-    every serve reply (and to the stop acknowledgement).  Because the
-    capture resets on every take, a reply the parent never accepts loses
-    its delta — at-most-once, never double-counted.
+    The worker resets its fork-copied telemetry singletons, installs a
+    delta capture, and attaches a snapshot to every serve reply (and to
+    the stop acknowledgement).  Because the capture resets on every
+    take, a reply the parent never accepts loses its delta —
+    at-most-once, never double-counted.
     """
-    capture = None
+    capture = install_worker_capture(shard=shard, worker=worker_name)
     registry = get_registry()
     attachment = None
-    if telemetry:
-        capture = install_worker_capture(shard=shard, worker=worker_name)
 
     def serve(request_id: int, slot: int, nbytes: int) -> None:
         try:
@@ -171,22 +168,17 @@ def _worker_main(
                     f"worker returned shape {values.shape} "
                     f"for {len(queries)} queries"
                 )
-            if telemetry:
-                registry.counter(
-                    WORKER_QUERIES,
-                    "Queries answered by worker processes",
-                ).inc(len(queries), worker=worker_name)
+            registry.counter(
+                WORKER_QUERIES, "Queries answered by worker processes"
+            ).inc(len(queries), worker=worker_name)
             nbytes = pack_results(
                 values, np.zeros(len(queries), dtype=np.uint8), ring.slot_view(slot)
             )
         except Exception as exc:  # lint-ok: error shipped to parent
-            snap = capture.take() if capture is not None else None
-            conn.send(
-                ("error", request_id, f"{type(exc).__name__}: {exc}", snap)
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            conn.send(("error", request_id, error, capture.take()))
             return
-        snap = capture.take() if capture is not None else None
-        conn.send(("result_slot", request_id, slot, nbytes, snap))
+        conn.send(("result_slot", request_id, slot, nbytes, capture.take()))
 
     try:
         while True:
@@ -210,8 +202,7 @@ def _worker_main(
             elif op == "ping":
                 conn.send(("pong", message[1]))
             elif op == "stop":
-                snap = capture.take() if capture is not None else None
-                conn.send(("stopped", snap))
+                conn.send(("stopped", capture.take()))
                 return
     except (EOFError, OSError, KeyboardInterrupt):
         return  # parent went away or is shutting down; nothing to clean
@@ -287,7 +278,6 @@ class WorkerSupervisor:
         clock: Callable[[], float] = time.monotonic,
         events: EventLog | None = None,
         registry: MetricsRegistry | None = None,
-        telemetry: bool = True,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
@@ -311,8 +301,8 @@ class WorkerSupervisor:
         self._generation: ArenaGeneration | None = None
         #: data-plane counters: batches sent through the ring, batches
         #: that did not fit a slot (the fallback chain answered them),
-        #: and slots reclaimed from killed workers (the chaos matrix's
-        #: no-leak invariant).  ``pipe_batches`` stays 0 — no batch
+        #: and slots reclaimed from killed workers (the no-leak
+        #: invariant).  ``pipe_batches`` stays 0 — no batch
         #: crosses a pipe — and is kept for readers of the counter set.
         self.transport_stats = {
             "shm_batches": 0,
@@ -328,7 +318,6 @@ class WorkerSupervisor:
         self._clock = clock
         self._events = events
         self._registry = registry
-        self.telemetry = telemetry
         #: parent-side fold of worker snapshots (exposed for tests; the
         #: span destination resolves per-merge from the active collector)
         self.merger = TelemetryMerger(registry=registry, events=events)
@@ -366,7 +355,6 @@ class WorkerSupervisor:
                 child_conn,
                 self.shard,
                 worker.name,
-                self.telemetry,
                 self._ring,
             ),
             name=worker.name,
@@ -401,8 +389,7 @@ class WorkerSupervisor:
                     if message[0] == "stopped":
                         # the stop acknowledgement carries the worker's
                         # final telemetry delta
-                        if len(message) > 1 and message[1] is not None:
-                            self.merger.merge(message[1])
+                        self.merger.merge(message[1])
                         break
             except (BrokenPipeError, EOFError, OSError):
                 pass  # already dead; join below reaps it
@@ -577,7 +564,7 @@ class WorkerSupervisor:
             return None
         values = None
         if message[0] == "result_slot":
-            self._merge_snapshot(message, index=4)
+            self.merger.merge(message[4])
             values, _codes = unpack_results(
                 self._ring.slot_view(worker.slot)[: message[3]]
             )
@@ -585,7 +572,7 @@ class WorkerSupervisor:
             # The worker survived; its estimator raised.  The worker
             # stays live (the model is broken, not the process) and the
             # caller degrades this batch.
-            self._merge_snapshot(message, index=3)
+            self.merger.merge(message[3])
             self._obs_events().emit(
                 "shard.worker_error",
                 shard=self.shard,
@@ -637,23 +624,18 @@ class WorkerSupervisor:
         except Exception as exc:
             self._fail(worker, "error", detail=f"{type(exc).__name__}: {exc}")
             return None
-        if self.telemetry:
-            # inline workers share the parent's registry; write the
-            # per-worker counter directly with the labels the merge
-            # path would have added
-            self._obs_registry().counter(
-                WORKER_QUERIES, "Queries answered by worker processes"
-            ).inc(
-                len(queries),
-                worker=worker.name,
-                shard=self.shard,
-                worker_pid=os.getpid(),
-            )
+        # inline workers share the parent's registry; write the
+        # per-worker counter directly with the labels the merge path
+        # would have added
+        self._obs_registry().counter(
+            WORKER_QUERIES, "Queries answered by worker processes"
+        ).inc(
+            len(queries),
+            worker=worker.name,
+            shard=self.shard,
+            worker_pid=os.getpid(),
+        )
         return values
-
-    def _merge_snapshot(self, message: tuple, index: int) -> None:
-        if len(message) > index and message[index] is not None:
-            self.merger.merge(message[index])
 
     # ------------------------------------------------------------------
     # Zero-copy model swap

@@ -504,12 +504,21 @@ class TestLifecycleManager:
         self, tmp_path, lifecycle_table, lifecycle_workloads
     ):
         train, probe = lifecycle_workloads
+        backoff_answers = []
+
+        def serve_probes(_seconds: float) -> None:
+            # a backoff window: no retrain attempt is running
+            backoff_answers.extend(
+                service.serve(q).estimate for q in probe.queries[:5]
+            )
+
         service, manager = build_manager(
             lifecycle_table,
             train,
             probe,
             tmp_path,
             lambda: FlakyRetrainFault(small_lwnn(), fail_attempts=99),
+            sleep=serve_probes,
         )
         incumbent = manager.incumbent
         new_table, appended, new_train = drifted_update(lifecycle_table)
@@ -520,6 +529,10 @@ class TestLifecycleManager:
         assert manager.incumbent is incumbent
         for query in probe.queries[:10]:
             assert np.isfinite(service.estimate(query))
+        # two backoff windows between the three attempts, five probes each
+        assert len(backoff_answers) == 10
+        num_rows = service.table.num_rows
+        assert all(0.0 <= a <= num_rows for a in backoff_answers)
 
     def test_crash_mid_retrain_resumes_and_promotes(
         self, tmp_path, lifecycle_table, lifecycle_workloads

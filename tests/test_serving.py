@@ -7,7 +7,14 @@ import pytest
 
 from repro import obs
 from repro.core import CardinalityEstimator, Predicate, Query
-from repro.faults import ExceptionFault, LatencyFault, NaNFault
+from repro.datasets.updates import apply_update
+from repro.faults import (
+    CorruptionFault,
+    ExceptionFault,
+    LatencyFault,
+    NaNFault,
+    StaleModelFault,
+)
 from repro.guard import EstimateGuard
 from repro.registry import (
     DEFAULT_FALLBACK_NAMES,
@@ -436,54 +443,6 @@ class TestRegistryFactories:
         assert 0.0 <= svc.estimate(query) <= tiny_table.num_rows
 
 
-@pytest.mark.slow
-class TestServingReplay:
-    """Full fault-matrix replay through bench.serving_exp (heavy)."""
-
-    @pytest.fixture(scope="class")
-    def results(self):
-        from repro.bench import BenchContext
-        from repro.bench.serving_exp import serving_experiment
-        from repro.scale import Scale
-
-        return {
-            r.scenario: r
-            for r in serving_experiment(
-                BenchContext(Scale.ci(), seed=42), primary="sampling"
-            )
-        }
-
-    def test_service_always_available(self, results):
-        for r in results.values():
-            assert r.availability == 1.0, r.scenario
-
-    def test_total_failure_storms(self, results):
-        for name in ("nan-storm", "exception-storm"):
-            r = results[name]
-            assert r.unguarded_availability == 0.0
-            assert r.primary_breaker == "open"
-            assert r.primary_trips >= 1
-            assert r.fallback_rate > 0.9
-
-    def test_baseline_stays_on_primary(self, results):
-        r = results["no-fault"]
-        assert r.fallback_rate == 0.0
-        assert r.primary_trips == 0
-        assert r.unguarded_availability == 1.0
-
-    def test_slow_primary_times_out_to_fallback(self, results):
-        r = results["slow-primary"]
-        assert r.availability == 1.0
-        assert r.primary_breaker == "open"
-
-    def test_format_mentions_every_scenario(self, results):
-        from repro.bench.serving_exp import format_serving
-
-        text = format_serving(list(results.values()), primary="sampling")
-        for name in results:
-            assert name in text
-
-
 class TestAcceptance:
     """ISSUE acceptance: 100% primary failure still answers everything."""
 
@@ -509,6 +468,71 @@ class TestAcceptance:
         assert health.availability == 1.0
         assert health.tiers[0].state == "open"
         assert health.tiers[0].trips >= 1
+
+
+class TestQuietFaults:
+    """A primary that answers finite garbage (a corrupted artifact) or
+    pre-update state (a stale model) raises nothing to fail over on."""
+
+    @staticmethod
+    def service(primary, table):
+        svc = make_service(primary, fallbacks=["sampling", "heuristic"])
+        return svc.fit(table)
+
+    @staticmethod
+    def in_bounds(served, num_rows) -> bool:
+        return all(
+            np.isfinite(s.estimate) and 0.0 <= s.estimate <= num_rows for s in served
+        )
+
+    def test_corrupted_artifact_fully_available(self, small_census, census_workloads):
+        _, test = census_workloads
+        corrupt = CorruptionFault(make_estimator("postgres").fit(small_census), seed=3)
+        served = self.service(corrupt, small_census).serve_many(list(test.queries))
+        assert corrupt.arrays_corrupted > 0
+        assert self.in_bounds(served, small_census.num_rows)
+
+    def test_stale_model_keeps_its_breaker_closed(self, small_census, census_workloads):
+        _, test = census_workloads
+        stale = StaleModelFault(make_estimator("postgres").fit(small_census))
+        svc = self.service(stale, small_census)
+        new_table, appended = apply_update(small_census, np.random.default_rng(7))
+        svc.update(new_table, appended)
+        served = svc.serve_many(list(test.queries))
+        assert stale.dropped_updates == 1
+        assert self.in_bounds(served, new_table.num_rows)
+        # staleness is the quiet failure mode: finite answers, no trips
+        primary = svc.health().tiers[0]
+        assert primary.state == "closed"
+        assert primary.trips == 0
+
+
+class TestTelemetryCrossCheck:
+    """The serve path's two latency bookkeepers agree tier by tier."""
+
+    @pytest.mark.parametrize("path", ["serve", "serve_batch"])
+    def test_exposition_tier_samples_equal_health_attempts(self, tiny_table, path):
+        chain = [
+            NaNFault(StubEstimator(4.0, name="primary"), probability=0.5, seed=1),
+            ExceptionFault(StubEstimator(6.0, name="middle"), probability=0.5, seed=2),
+            StubEstimator(9.0, name="final"),
+        ]
+        svc = EstimatorService(chain, deadline_ms=None)
+        svc.fit(tiny_table)
+        queries = distinct_queries(40)
+        if path == "serve":
+            svc.serve_many(queries)
+        else:
+            svc.serve_batch(queries)
+        samples = obs.parse_exposition(obs.get_registry().render_text())
+        counts = {
+            s.labels["tier"]: s.value
+            for s in samples
+            if s.name == f"{obs.SERVE_TIER_SECONDS}_count"
+        }
+        attempts = {t.tier: t.attempts for t in svc.health().tiers}
+        assert all(attempts.values())
+        assert counts == attempts
 
 
 def distinct_queries(n: int) -> list[Query]:

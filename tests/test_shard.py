@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.core import CardinalityEstimator, Predicate, Query
-from repro.faults import NaNFault, WorkerCrashFault, WorkerHangFault
+from repro.faults import NaNFault, WorkerCrashFault, WorkerHangFault, queue_flood
 from repro.lifecycle.retrain import RetryPolicy
 from repro.obs import EventLog, MetricsRegistry
 from repro.registry import make_shard_service
@@ -873,6 +873,62 @@ class TestShardRouter:
             for s in served
         )
 
+    def test_queue_flood_sheds_for_known_reasons_only(self, tiny_table):
+        queries = queue_flood(distinct_queries(16), multiplier=4, seed=1)
+        requests = [
+            ShardRequest(query=q, tenant=f"t{i % 4}", priority=i % 3)
+            for i, q in enumerate(queries)
+        ]
+        router = self.router(
+            tiny_table, admission=AdmissionConfig(queue_capacity=6, tenant_quota=2)
+        )
+        with router:
+            served = router.serve_batch(requests)
+            totals = router.totals()
+        assert {"capacity", "quota"} <= set(totals.shed_reasons)
+        assert set(totals.shed_reasons) <= {"capacity", "quota", "deadline"}
+        assert sum(totals.shed_reasons.values()) == totals.shed
+        assert totals.worker_served + totals.fallback_served + totals.shed == len(
+            requests
+        )
+        assert all(
+            np.isfinite(s.estimate) and 0.0 <= s.estimate <= tiny_table.num_rows
+            for s in served
+        )
+
+    @needs_fork
+    def test_corrupted_fork_workers_answered_by_fallback_chain(
+        self, small_census, census_workloads
+    ):
+        from repro.estimators.traditional import SamplingEstimator
+        from repro.serve import HeuristicConstantEstimator
+
+        primary = SamplingEstimator().fit(small_census)
+        corrupt = NaNFault(primary, probability=0.25, seed=3)
+        corrupt.fit(small_census)
+        _, test = census_workloads
+        requests = [ShardRequest(query=q) for q in test.queries]
+        with ShardRouter(
+            primary,
+            [HeuristicConstantEstimator().fit(small_census)],
+            num_shards=2,
+            workers_per_shard=2,
+            mode="fork",
+            worker_estimator=corrupt,
+        ) as router:
+            served = router.serve_batch(requests)
+            totals = router.totals()
+        # the NaN answers went to the parent's clean chain, the rest
+        # were served as worker answers
+        assert totals.fallback_served > 0
+        assert totals.worker_served > 0
+        assert totals.worker_served + totals.fallback_served == len(requests)
+        assert sum(s.tier == "worker" for s in served) == totals.worker_served
+        assert all(
+            np.isfinite(s.estimate) and 0.0 <= s.estimate <= small_census.num_rows
+            for s in served
+        )
+
 
 @needs_fork
 class TestScatterGatherFaults:
@@ -907,14 +963,22 @@ class TestScatterGatherFaults:
     def test_crash_in_one_shard_while_the_other_is_in_flight(
         self, small_census, census_workloads
     ):
+        from repro.obs import WORKER_QUERIES
+
+        registry = MetricsRegistry()
         router, primary, heuristic = self.fleet(
-            small_census, lambda: os._exit(1), workers_per_shard=2
+            small_census,
+            lambda: os._exit(1),
+            workers_per_shard=2,
+            registry=registry,
+            events=EventLog(),
         )
         _, test = census_workloads
         requests, routes = self.shard0_first(router, test.queries[:64])
         with router:
             served = router.serve_batch(requests)
             stats = router.stats()
+            worker_answered = router.totals().worker_answered
             supervisor = router.shards["shard-0"].supervisor
             reclaimed = supervisor.transport_stats["slots_reclaimed"]
             free_slots = supervisor.ring_free_count
@@ -925,6 +989,14 @@ class TestScatterGatherFaults:
         assert stats["shard-1"].redispatches == 0
         assert reclaimed == 1
         assert free_slots == 4  # two workers + two spare slots, none leaked
+        # the dead worker shipped no counter delta, the sibling that
+        # answered its batch did: the merged sum still equals the answers
+        merged = sum(
+            series["value"]
+            for series in registry.counter(WORKER_QUERIES).snapshot()["series"]
+        )
+        assert worker_answered == len(requests)
+        assert int(merged) == worker_answered
         # each shard's answers match an inline replay of its sub-batch
         with ShardRouter(primary, [heuristic], num_shards=1, mode="inline") as ref:
             for name in ("shard-0", "shard-1"):

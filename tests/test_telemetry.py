@@ -24,6 +24,7 @@ import pytest
 
 from repro import obs
 from repro.core import CardinalityEstimator, Predicate, Query, generate_workload
+from repro.faults import SlowWorkerFault
 from repro.lifecycle.drift import DriftDetector
 from repro.obs import (
     LATENCY,
@@ -580,6 +581,43 @@ class TestRecordActualFeedback:
         assert status.objective == LATENCY
         assert status.samples == 5
         assert not status.breached
+
+    def test_slow_workers_breach_then_clean_swap_recovers(self, tiny_table):
+        clean = ConstantEstimator(2.0).fit(tiny_table)
+        slow = SlowWorkerFault(ConstantEstimator(2.0), delay_seconds=0.02)
+        slow.fit(tiny_table)
+        events = EventLog()
+        slos = SloRegistry(registry=MetricsRegistry(), events=events)
+        # 1 ms per request; a slowed batch of 4 costs >= 5 ms per request
+        slos.set_objective(tiny_objective())
+        router = ShardRouter(
+            clean,
+            [HeuristicConstantEstimator().fit(tiny_table)],
+            num_shards=1,
+            mode="inline",
+            worker_estimator=slow,
+            registry=MetricsRegistry(),
+            events=events,
+            slos=slos,
+            exemplars=ExemplarStore(),
+        )
+
+        def serve_twice():
+            for _ in range(2):
+                router.serve_batch(
+                    [ShardRequest(query=q, tenant="t0") for q in distinct_queries(4)]
+                )
+
+        with router:
+            serve_twice()
+            assert slos.breached_tenants() == ["t0"]
+            assert router.rolling_swap(clean).promoted
+            serve_twice()
+        assert not slos.any_breached()
+        transitions = [
+            e.kind for e in events.events() if e.kind.startswith("slo.")
+        ]
+        assert transitions == ["slo.breach", "slo.recovered"]
 
 
 # ----------------------------------------------------------------------
