@@ -11,7 +11,6 @@ implementation the paper adopted.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ...core.estimator import CardinalityEstimator
@@ -52,6 +51,10 @@ class BayesEstimator(CardinalityEstimator):
 
     # ------------------------------------------------------------------
     def _fit(self, table: Table, workload: Workload | None) -> None:
+        # networkx is imported on first use, not with the package: it
+        # adds ~18 MB to every process that imports repro.
+        import networkx as nx
+
         self._disc = Discretizer(table, self.max_bins)
         binned = self._disc.transform(table.data)
         cards = self._disc.cardinalities

@@ -28,7 +28,10 @@ estimate of the containing rectangle.  The fraction comes from a
 materialized row ``sample`` when one is supplied (empirical marginal
 coverage — an AVI product over *observed* column distributions, robust
 to skew) and falls back to interval-width ratios (uniformity) without
-one.
+one.  A miss builds the probe's ``{column: (lo, hi)}`` map once and
+tests up to ``scan_limit`` keys against it; a subset hit counts sample
+rows by binary search over per-column sorted copies of the sample made
+once, in ``__init__`` (:class:`_SortedSample`).
 Entries are generation-namespaced exactly like the exact-hit cache, so
 a lifecycle hot-swap (``bump_generation``) invalidates semantic answers
 and exact answers in the same O(1) step.
@@ -60,63 +63,101 @@ def subsumes(superset: Query, subset: Query) -> bool:
     return True
 
 
-def _signature_subsumes(signature: tuple, subset: Query) -> bool:
-    """:func:`subsumes` on a cache key's primitive ``(column, lo, hi)``
-    form, without materializing Predicate objects per scanned entry."""
-    for column, lo, hi in signature:
-        sub = subset.predicate_on(column)
-        if sub is None:
-            return False
-        if lo is not None and (sub.lo is None or sub.lo < lo):
-            return False
-        if hi is not None and (sub.hi is None or sub.hi > hi):
-            return False
-    return True
-
-
-def _coverage_fraction(sup: Predicate, sub: Predicate) -> float:
-    """Fraction of ``sup``'s interval covered by ``sub`` (in [0, 1]).
+def _coverage_fraction(sup_lo, sup_hi, sub_lo, sub_hi) -> float:
+    """Fraction of the interval ``[sup_lo, sup_hi]`` covered by
+    ``[sub_lo, sub_hi]`` (in [0, 1]).
 
     Unbounded sides make the ratio undefined; those columns contribute
     no shrink (fraction 1.0) — the bound stays sound, only looser.
     """
-    if sup.lo is None or sup.hi is None or sub.lo is None or sub.hi is None:
+    if sup_lo is None or sup_hi is None or sub_lo is None or sub_hi is None:
         return 1.0
-    span = sup.hi - sup.lo
+    span = sup_hi - sup_lo
     if span <= 0.0:
         return 1.0
-    width = max(0.0, sub.hi - sub.lo)
+    width = max(0.0, sub_hi - sub_lo)
     return min(1.0, width / span)
 
 
-def _sample_mask(sample: np.ndarray, pred: Predicate) -> np.ndarray:
-    """Boolean mask of sample rows whose column satisfies ``pred``."""
-    column = sample[:, pred.column]
-    mask = np.ones(len(column), dtype=bool)
-    if pred.lo is not None:
-        mask &= column >= pred.lo
-    if pred.hi is not None:
-        mask &= column <= pred.hi
-    return mask
+class _SortedSample:
+    """A row sample kept as one sorted copy per column.
 
-
-def _empirical_fraction(
-    sample: np.ndarray, sup: Predicate | None, sub: Predicate
-) -> float:
-    """Observed fraction of ``sup``-matching sample rows kept by ``sub``.
-
-    ``sup`` of None means the superset leaves the column free: the
-    denominator is the whole sample.  An empty denominator falls back
-    to the uniform width ratio (no evidence beats no evidence).
+    The rows whose value lies in ``[lo, hi]`` are then one contiguous
+    run of the sorted column, found by two binary searches instead of
+    two boolean masks over the whole sample.  Bounds are cast to the
+    sample's dtype first, as NumPy casts a Python number it compares
+    with the array, so a count equals the masks' sum bit for bit (a
+    bound beyond float32's range becomes ±inf; ``-0.0 == 0.0``).  A
+    non-float sample is read as float32, like the cache's.
     """
-    sub_mask = _sample_mask(sample, sub)
-    if sup is None:
-        return float(sub_mask.mean()) if len(sub_mask) else 1.0
-    sup_mask = _sample_mask(sample, sup)
-    denom = int(sup_mask.sum())
-    if denom == 0:
-        return _coverage_fraction(sup, sub)
-    return float((sup_mask & sub_mask).sum() / denom)
+
+    __slots__ = ("rows", "cast", "columns", "ends")
+
+    def __init__(self, sample: np.ndarray) -> None:
+        sample = np.asarray(sample)
+        if sample.dtype.kind != "f":
+            sample = sample.astype(np.float32)
+        self.rows = len(sample)
+        self.cast = sample.dtype.type
+        self.columns = tuple(np.sort(np.array(sample.T, order="C"), axis=1))
+        # NaN sorts last and lies in no interval: an open upper side
+        # ends where the NaNs begin.
+        inf = self.cast(np.inf)
+        self.ends = [int(c.searchsorted(inf, "right")) for c in self.columns]
+
+    def run(self, column: int, lo, hi) -> tuple[int, int]:
+        """``(a, b)`` such that the sorted rows ``a:b`` of ``column`` are
+        those in ``[lo, hi]`` (None: an open side); a NaN bound, which
+        no row satisfies, gives ``b <= a``."""
+        values = self.columns[column]
+        a = 0 if lo is None else int(values.searchsorted(self.cast(lo), "left"))
+        if hi is None:
+            return a, self.ends[column]
+        hi = self.cast(hi)
+        # searchsorted puts a NaN upper bound past the NaN rows
+        return a, (int(values.searchsorted(hi, "right")) if hi == hi else 0)
+
+
+def _interpolate(
+    superset: tuple[tuple, ...],
+    bounds: dict[int, tuple],
+    cached: float,
+    sample: _SortedSample | None,
+) -> float:
+    """:func:`interpolated_bound` on primitive forms: the superset's
+    ``(column, lo, hi)`` triples and the subset's ``{column: (lo, hi)}``.
+
+    With a sample, a column both constrain keeps the observed fraction
+    of the superset's rows that the subset keeps: the two intervals
+    meet in one interval, so its run is the overlap of their runs.  An
+    empty superset run falls back to the width ratio (no evidence beats
+    no evidence).
+    """
+    for lo, hi in bounds.values():
+        if lo is not None and hi is not None and lo > hi:
+            return 0.0
+    shrink = 1.0
+    covered = set()
+    for column, sup_lo, sup_hi in superset:
+        sub = bounds.get(column)
+        if sub is None:
+            continue
+        covered.add(column)
+        sub_lo, sub_hi = sub
+        if sample is not None:
+            a, b = sample.run(column, sup_lo, sup_hi)
+            if b > a:
+                sub_a, sub_b = sample.run(column, sub_lo, sub_hi)
+                shrink *= max(0, min(b, sub_b) - max(a, sub_a)) / (b - a)
+                continue
+        shrink *= _coverage_fraction(sup_lo, sup_hi, sub_lo, sub_hi)
+    if sample is not None:
+        rows = sample.rows
+        for column, (sub_lo, sub_hi) in bounds.items():
+            if column not in covered:
+                a, b = sample.run(column, sub_lo, sub_hi)
+                shrink *= max(0, b - a) / rows if rows else 1.0
+    return min(max(0.0, cached * shrink), cached)
 
 
 def interpolated_bound(
@@ -135,26 +176,16 @@ def interpolated_bound(
     (uniformity within the cached rectangle).  Columns only the subset
     constrains contribute their sample selectivity (with a sample) or
     nothing (without — sound either way, just looser).  An empty subset
-    predicate matches nothing: the answer is 0.
+    predicate matches nothing: the answer is 0.  The fractions multiply
+    in the superset's predicate order, then the subset's.
     """
-    if any(p.is_empty for p in subset.predicates):
-        return 0.0
-    shrink = 1.0
-    covered = set()
-    for sup_pred in superset.predicates:
-        sub_pred = subset.predicate_on(sup_pred.column)
-        if sub_pred is None:
-            continue
-        covered.add(sup_pred.column)
-        if sample is not None:
-            shrink *= _empirical_fraction(sample, sup_pred, sub_pred)
-        else:
-            shrink *= _coverage_fraction(sup_pred, sub_pred)
-    if sample is not None:
-        for sub_pred in subset.predicates:
-            if sub_pred.column not in covered:
-                shrink *= _empirical_fraction(sample, None, sub_pred)
-    return min(max(0.0, cached * shrink), cached)
+    bounds = {p.column: (p.lo, p.hi) for p in subset.predicates}
+    return _interpolate(
+        tuple((p.column, p.lo, p.hi) for p in superset.predicates),
+        bounds,
+        cached,
+        None if sample is None else _SortedSample(sample),
+    )
 
 
 class SemanticEstimateCache(EstimateCache):
@@ -182,9 +213,12 @@ class SemanticEstimateCache(EstimateCache):
             raise ValueError(f"scan_limit must be non-negative, got {scan_limit}")
         self.scan_limit = scan_limit
         self.interpolate = interpolate
-        #: optional materialized row sample for empirical interpolation
+        #: the optional row sample for empirical interpolation, sorted
+        #: once per column so each lookup counts by binary search
         self.sample = (
-            None if sample is None else np.asarray(sample, dtype=np.float32)
+            None
+            if sample is None
+            else _SortedSample(np.asarray(sample, dtype=np.float32))
         )
         self.semantic_hits = 0
         self.last_hit_kind: str | None = None
@@ -206,40 +240,55 @@ class SemanticEstimateCache(EstimateCache):
             return exact
         self.misses += 1
         # The miss is counted; re-classify below if the subsumption
-        # scan finds a containing rectangle.
+        # scan finds a containing rectangle.  The probe's intervals are
+        # looked up by column once here, not searched per scanned entry.
+        bounds = {p.column: (p.lo, p.hi) for p in query.predicates}
+        generation = self.generation
+        scan_limit = self.scan_limit
         scanned = 0
-        for key in reversed(self._entries):
-            generation, signature = key
-            if generation != self.generation:
+        for key in reversed(entries):
+            if key[0] != generation:
                 continue
-            if scanned >= self.scan_limit:
+            if scanned >= scan_limit:
                 break
             scanned += 1
-            if not _signature_subsumes(signature, query):
-                continue
-            # Predicate objects are rebuilt from the primitive key only
-            # on an actual match (keys store ``(column, lo, hi)`` tuples
-            # so the exact-hit path hashes in C; see query_signature).
-            superset = Query(
-                tuple(Predicate(c, lo, hi) for c, lo, hi in signature)
-            )
-            cached = self._entries[key]
-            value = (
-                interpolated_bound(superset, query, cached, self.sample)
-                if self.interpolate
-                else cached
-            )
-            self.misses -= 1
-            self.semantic_hits += 1
-            self.last_hit_kind = "semantic_hit"
-            self.last_semantic_match = (superset, cached)
-            # Memoize under the subset's own key: a dashboard repeats
-            # the drill-down it just ran, and the repeat should be an
-            # exact hit (~1us) instead of paying this scan again.  The
-            # entry is generation-namespaced like any other, so a
-            # hot-swap invalidates it with the rest.
-            self.put(query, value)
-            return value
+            # subsumes() on the key's primitive (column, lo, hi) form
+            for column, lo, hi in key[1]:
+                sub = bounds.get(column)
+                if sub is None:
+                    break
+                sub_lo, sub_hi = sub
+                if lo is not None and (sub_lo is None or sub_lo < lo):
+                    break
+                if hi is not None and (sub_hi is None or sub_hi > hi):
+                    break
+            else:
+                # The key is a set; the superset's predicates go in
+                # column order (columns are distinct, so sorting the
+                # triples sorts by column).
+                superset = tuple(sorted(key[1]))
+                cached = entries[key]
+                value = (
+                    _interpolate(superset, bounds, cached, self.sample)
+                    if self.interpolate
+                    else cached
+                )
+                self.misses -= 1
+                self.semantic_hits += 1
+                self.last_hit_kind = "semantic_hit"
+                # Predicate objects are rebuilt from the primitive key
+                # only on a match (see query_signature for the key).
+                self.last_semantic_match = (
+                    Query(tuple(Predicate(c, lo, hi) for c, lo, hi in superset)),
+                    cached,
+                )
+                # Memoize under the subset's own key: a dashboard repeats
+                # the drill-down it just ran, and the repeat should be an
+                # exact hit (~1us) instead of paying this scan again.  The
+                # entry is generation-namespaced like any other, so a
+                # hot-swap invalidates it with the rest.
+                self.put(query, value)
+                return value
         self.last_hit_kind = None
         self.last_semantic_match = None
         return None

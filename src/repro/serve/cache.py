@@ -5,8 +5,9 @@ Real deployments answer the same parametrized queries over and over
 stale when the underlying data changes.  :class:`EstimateCache` is a
 small LRU map from :class:`~repro.core.query.Query` (frozen, hence
 hashable) to the served estimate.  Keys are **canonicalized** — the
-predicate tuple is sorted by column — so the same conjunction written
-with its predicates in a different order hits the same entry.
+set of the query's ``(column, lo, hi)`` triples — so the same
+conjunction written with its predicates in a different order hits the
+same entry.
 
 Entries are **namespaced by model generation**: every key carries the
 generation counter current at insertion time, and
@@ -28,26 +29,28 @@ from collections import OrderedDict
 from ..core.query import Query
 
 
-def query_signature(query: Query) -> tuple[tuple, ...]:
-    """Canonical primitive cache key: ``((column, lo, hi), ...)`` sorted
-    by column, memoized on the query object.
+def query_signature(query: Query) -> frozenset[tuple]:
+    """Canonical primitive cache key: the frozenset of the query's
+    ``(column, lo, hi)`` triples, memoized on the query object.
 
-    Cache lookups at fast-path speeds are dominated by hashing: a key
+    Cache lookups at fast-path speeds are dominated by hashing.  A key
     built from :class:`Predicate` objects re-enters Python for every
-    element's generated ``__hash__`` on every dict probe — twice per
-    ``get`` (probe + LRU bump) — while a nested tuple of ints and floats
-    hashes entirely in C.  The signature is a pure function of a frozen
-    value, so it is computed once and stashed on the instance
-    (``object.__setattr__`` bypasses the frozen guard exactly like the
-    dataclass-generated ``__init__`` does); replayed query objects pay
-    the sort only on first sight.
+    element's generated ``__hash__`` on every dict probe, and even a
+    nested tuple of ints and floats is rehashed element by element on
+    every probe: CPython caches no tuple's hash.  A frozenset hashes its
+    elements once and keeps its own hash, so each later probe of the
+    cache's OrderedDict (the lookup, the LRU bump, every step of the
+    semantic scan) costs one stored hash.  A query constrains each
+    column at most once, so the set is canonical: the same conjunction
+    with its predicates in another order gives an equal key.  The
+    signature is a pure function of a frozen value, so it is computed
+    once and stashed on the instance (``object.__setattr__`` bypasses
+    the frozen guard exactly like the dataclass-generated ``__init__``
+    does); replayed query objects pay for it only on first sight.
     """
     sig = query.__dict__.get("_cache_signature")
     if sig is None:
-        sig = tuple(
-            (p.column, p.lo, p.hi)
-            for p in sorted(query.predicates, key=lambda p: p.column)
-        )
+        sig = frozenset((p.column, p.lo, p.hi) for p in query.predicates)
         object.__setattr__(query, "_cache_signature", sig)
     return sig
 
@@ -65,11 +68,11 @@ class EstimateCache:
         #: Generation tag stamped onto new entries; old-generation
         #: entries are unreachable and simply age out of the LRU.
         self.generation = 0
-        self._entries: OrderedDict[
-            tuple[int, tuple[tuple, ...]], float
-        ] = OrderedDict()
+        self._entries: OrderedDict[tuple[int, frozenset[tuple]], float] = (
+            OrderedDict()
+        )
 
-    def _key(self, query: Query) -> tuple[int, tuple[tuple, ...]]:
+    def _key(self, query: Query) -> tuple[int, frozenset[tuple]]:
         return (self.generation, query_signature(query))
 
     def __len__(self) -> int:

@@ -1,6 +1,6 @@
 """Property-based correctness suite for :mod:`repro.fastpath`.
 
-Three families of seeded random properties, each over 1000+ generated
+Four families of seeded random properties, each over 1000+ generated
 cases:
 
 * **Quantization round-trip** — per-channel int8 quantization must
@@ -17,7 +17,15 @@ cases:
   ``[0, cached]`` where ``cached`` is the containing rectangle's
   stored estimate, both for :func:`interpolated_bound` directly and
   for answers served by :class:`SemanticEstimateCache`.
+* **Reference kernels** — the cache's column-map scan and binary-search
+  coverage agree bit for bit with the per-entry ``predicate_on`` scan
+  and boolean-mask coverage they replaced, over edge-case bounds and
+  random cache sessions.
 """
+
+import math
+import struct
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -287,7 +295,8 @@ class TestMonotonicityBound:
     def test_empty_subset_predicate_answers_zero(self):
         sup = Query((Predicate(0, 0.0, 10.0),))
         sub = Query((Predicate(0, 8.0, 2.0),))  # lo > hi: matches nothing
-        assert subsumes(sup, sub) is False or True  # containment irrelevant
+        # [8, 2] lies inside [0, 10] by Predicate.contains
+        assert subsumes(sup, sub)
         assert interpolated_bound(sup, sub, 500.0) == 0.0
 
     def test_cache_served_answers_respect_bound(self):
@@ -358,3 +367,307 @@ class TestSemanticCacheBookkeeping:
         assert cache.get(q) == 123.0
         assert cache.last_hit_kind == "hit"
         assert cache.semantic_hits == 0
+
+
+# ----------------------------------------------------------------------
+# Differential: the cache's kernels against the per-entry reference
+# ----------------------------------------------------------------------
+#
+# The reference is the semantic cache as first written: the scan asks
+# ``Query.predicate_on`` for each column of each scanned entry, and the
+# empirical coverage builds two boolean masks over the whole sample per
+# column.  The shipped kernels (a per-lookup column map, and binary
+# searches over per-column sorted copies of the sample) must agree with
+# it bit for bit.
+
+
+def reference_signature(query: Query) -> tuple:
+    return tuple(
+        (p.column, p.lo, p.hi)
+        for p in sorted(query.predicates, key=lambda p: p.column)
+    )
+
+
+def _signature_subsumes(signature: tuple, subset: Query) -> bool:
+    for column, lo, hi in signature:
+        sub = subset.predicate_on(column)
+        if sub is None:
+            return False
+        if lo is not None and (sub.lo is None or sub.lo < lo):
+            return False
+        if hi is not None and (sub.hi is None or sub.hi > hi):
+            return False
+    return True
+
+
+def _coverage_fraction(sup: Predicate, sub: Predicate) -> float:
+    if sup.lo is None or sup.hi is None or sub.lo is None or sub.hi is None:
+        return 1.0
+    span = sup.hi - sup.lo
+    if span <= 0.0:
+        return 1.0
+    width = max(0.0, sub.hi - sub.lo)
+    return min(1.0, width / span)
+
+
+def _sample_mask(sample: np.ndarray, pred: Predicate) -> np.ndarray:
+    column = sample[:, pred.column]
+    mask = np.ones(len(column), dtype=bool)
+    if pred.lo is not None:
+        mask &= column >= pred.lo
+    if pred.hi is not None:
+        mask &= column <= pred.hi
+    return mask
+
+
+def _empirical_fraction(sample, sup, sub) -> float:
+    sub_mask = _sample_mask(sample, sub)
+    if sup is None:
+        return float(sub_mask.mean()) if len(sub_mask) else 1.0
+    sup_mask = _sample_mask(sample, sup)
+    denom = int(sup_mask.sum())
+    if denom == 0:
+        return _coverage_fraction(sup, sub)
+    return float((sup_mask & sub_mask).sum() / denom)
+
+
+def reference_bound(superset, subset, cached, sample=None) -> float:
+    if any(p.is_empty for p in subset.predicates):
+        return 0.0
+    shrink = 1.0
+    covered = set()
+    for sup_pred in superset.predicates:
+        sub_pred = subset.predicate_on(sup_pred.column)
+        if sub_pred is None:
+            continue
+        covered.add(sup_pred.column)
+        if sample is not None:
+            shrink *= _empirical_fraction(sample, sup_pred, sub_pred)
+        else:
+            shrink *= _coverage_fraction(sup_pred, sub_pred)
+    if sample is not None:
+        for sub_pred in subset.predicates:
+            if sub_pred.column not in covered:
+                shrink *= _empirical_fraction(sample, None, sub_pred)
+    return min(max(0.0, cached * shrink), cached)
+
+
+class ReferenceCache:
+    """The LRU and the semantic scan over sorted-tuple keys."""
+
+    def __init__(self, capacity, scan_limit, interpolate=True, sample=None):
+        self.capacity = capacity
+        self.scan_limit = scan_limit
+        self.interpolate = interpolate
+        self.sample = None if sample is None else np.asarray(sample, np.float32)
+        self.entries = OrderedDict()
+        self.generation = 0
+        self.hits = self.misses = self.semantic_hits = self.evictions = 0
+        self.last_hit_kind = None
+        self.last_semantic_match = None
+
+    def __len__(self):
+        return len(self.entries)
+
+    def put(self, query, estimate):
+        key = (self.generation, reference_signature(query))
+        if key in self.entries:
+            self.entries.move_to_end(key)
+        self.entries[key] = estimate
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+    def bump_generation(self):
+        self.generation += 1
+        return self.generation
+
+    def get(self, query):
+        key = (self.generation, reference_signature(query))
+        exact = self.entries.get(key)
+        if exact is not None:
+            self.entries.move_to_end(key)
+            self.hits += 1
+            self.last_hit_kind = "hit"
+            self.last_semantic_match = None
+            return exact
+        self.misses += 1
+        scanned = 0
+        for key in reversed(self.entries):
+            generation, signature = key
+            if generation != self.generation:
+                continue
+            if scanned >= self.scan_limit:
+                break
+            scanned += 1
+            if not _signature_subsumes(signature, query):
+                continue
+            superset = Query(tuple(Predicate(*t) for t in signature))
+            cached = self.entries[key]
+            value = (
+                reference_bound(superset, query, cached, self.sample)
+                if self.interpolate
+                else cached
+            )
+            self.misses -= 1
+            self.semantic_hits += 1
+            self.last_hit_kind = "semantic_hit"
+            self.last_semantic_match = (superset, cached)
+            self.put(query, value)
+            return value
+        self.last_hit_kind = None
+        self.last_semantic_match = None
+        return None
+
+
+def bits(value) -> bytes | None:
+    """Exact identity of a float answer (NaN, -0.0 and all)."""
+    return None if value is None else struct.pack("<d", value)
+
+
+def predicate_bits(query: Query) -> list:
+    return [(p.column, bits(p.lo), bits(p.hi)) for p in query.predicates]
+
+
+#: float32 max, and bounds that overflow to ±inf when cast to float32
+F32_MAX = float(np.finfo(np.float32).max)
+EDGE_BOUNDS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    1e300, -1e300, F32_MAX, 3.5e38, -3.5e38,
+)
+
+
+def edge_sample(rng: np.random.Generator, rows: int, columns: int) -> np.ndarray:
+    """float32 rows on a coarse grid (ties), with signed zeros and a
+    sprinkle of ±inf and NaN."""
+    sample = (np.round(rng.uniform(0.0, 20.0, (rows, columns)) * 2) / 2).astype(
+        np.float32
+    )
+    sample[rng.random(sample.shape) < 0.05] = -0.0
+    special = rng.random(sample.shape) < 0.03
+    sample[special] = rng.choice(
+        np.array([np.inf, -np.inf, np.nan], np.float32), int(special.sum())
+    )
+    return sample
+
+
+def edge_bound(rng: np.random.Generator, column: np.ndarray):
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        return None
+    if kind == 1:
+        return float(rng.choice(EDGE_BOUNDS))
+    value = float(column[int(rng.integers(0, len(column)))])
+    if kind == 2:  # a sample value itself: ties at the boundary
+        return value
+    if kind == 3:  # one float64 ulp off: rounds onto the value in float32
+        return float(np.nextafter(value, rng.choice([-math.inf, math.inf])))
+    return float(rng.uniform(-1.0, 21.0))
+
+
+def edge_predicate(rng, column: int, sample: np.ndarray) -> Predicate:
+    while True:
+        lo = edge_bound(rng, sample[:, column])
+        hi = edge_bound(rng, sample[:, column])
+        if lo is not None or hi is not None:
+            if rng.random() < 0.8 and lo is not None and hi is not None:
+                lo, hi = min(lo, hi), max(lo, hi)
+            return Predicate(column, lo, hi)
+
+
+def edge_query(rng, sample: np.ndarray) -> Query:
+    num_columns = sample.shape[1]
+    cols = rng.choice(num_columns, int(rng.integers(1, num_columns + 1)), False)
+    return Query(tuple(edge_predicate(rng, int(c), sample) for c in cols))
+
+
+def edge_subset(rng, sup: Query, sample: np.ndarray) -> Query:
+    """A query the cache's scan takes for a subset of ``sup``: each side
+    inside ``sup``'s by the scan's ``<``/``>`` tests (so a NaN bound
+    passes), maybe with a column ``sup`` leaves free."""
+    preds = []
+    for p in sup.predicates:
+        column = sample[:, p.column]
+        lo, hi = edge_bound(rng, column), edge_bound(rng, column)
+        if p.lo is not None and (lo is None or lo < p.lo):
+            lo = p.lo
+        if p.hi is not None and (hi is None or hi > p.hi):
+            hi = p.hi
+        preds.append(Predicate(p.column, lo, hi))
+    free = sorted(set(range(sample.shape[1])) - set(sup.columns))
+    if free and rng.random() < 0.5:
+        preds.append(edge_predicate(rng, int(rng.choice(free)), sample))
+    return Query(tuple(preds))
+
+
+class TestKernelsMatchReference:
+    def test_interpolated_bound_bit_equal_20000_pairs(self):
+        rng = np.random.default_rng(20261020)
+        sample = edge_sample(rng, 64, 3)
+        seen = Counter()
+        for _ in range(20000):
+            sup = edge_query(rng, sample)
+            if rng.random() < 0.7:
+                sub = edge_subset(rng, sup, sample)
+            else:
+                sub = edge_query(rng, sample)
+            cached = float(rng.choice([0.0, 1.0, 1e6, float(rng.uniform(0, 1e5))]))
+            use = sample if rng.random() < 0.8 else None
+            with np.errstate(over="ignore"):
+                want = reference_bound(sup, sub, cached, use)
+                got = interpolated_bound(sup, sub, cached, use)
+            assert bits(got) == bits(want), (sup, sub, cached, use is None)
+            assert type(got) is float
+            seen["zero" if want == 0.0 else "cached" if want == cached else "shrunk"] += 1
+        # answers of every kind were compared, not only the clamps
+        assert min(seen.values()) >= 1000 and len(seen) == 3, seen
+
+    def test_300_random_cache_sessions_match_reference(self):
+        seen = Counter()
+        for seed in range(300):
+            self.run_session(np.random.default_rng([20261020, seed]), seed, seen)
+        # every branch of the scan ran, often
+        assert seen["hit"] >= 500 and seen["semantic_hit"] >= 1000, seen
+        assert seen[None] >= 1000 and seen["evictions"] >= 1000, seen
+        assert seen["bumps"] >= 100 and seen["scan_limit_0_gets"] >= 100, seen
+
+    @staticmethod
+    def run_session(rng, seed: int, seen: Counter) -> None:
+        sample = edge_sample(rng, 48, 3) if seed % 4 else None
+        scan_limit = int(rng.integers(0, 21))
+        interpolate = seed % 7 != 0
+        new = SemanticEstimateCache(16, scan_limit, interpolate, sample)
+        ref = ReferenceCache(16, scan_limit, interpolate, sample)
+        grid = edge_sample(rng, 32, 3) if sample is None else sample
+        pool = [edge_query(rng, grid) for _ in range(24)]
+        for _ in range(60):
+            op = rng.random()
+            if op < 0.03:
+                assert new.bump_generation() == ref.bump_generation()
+                seen["bumps"] += 1
+                continue
+            base = pool[int(rng.integers(0, len(pool)))]
+            if op < 0.35:
+                value = float(rng.choice([0.0, 7.0, float(rng.uniform(0, 1e5))]))
+                new.put(base, value)
+                ref.put(base, value)
+                continue
+            probe = base if op < 0.55 else edge_subset(rng, base, grid)
+            with np.errstate(over="ignore"):
+                got, want = new.get(probe), ref.get(probe)
+            assert bits(got) == bits(want)
+            assert new.last_hit_kind == ref.last_hit_kind
+            seen[ref.last_hit_kind] += 1
+            seen["scan_limit_0_gets"] += scan_limit == 0
+            if ref.last_semantic_match is None:
+                assert new.last_semantic_match is None
+            else:
+                got_sup, got_cached = new.last_semantic_match
+                want_sup, want_cached = ref.last_semantic_match
+                assert predicate_bits(got_sup) == predicate_bits(want_sup)
+                assert bits(got_cached) == bits(want_cached)
+            assert (new.hits, new.misses, new.semantic_hits) == (
+                ref.hits, ref.misses, ref.semantic_hits,
+            )
+            assert (len(new), new.evictions) == (len(ref), ref.evictions)
+        seen["evictions"] += ref.evictions

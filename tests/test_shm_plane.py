@@ -23,7 +23,17 @@ from repro.core.query import QueryBatch
 from repro.estimators.learned import MscnEstimator
 from repro.faults import NaNFault, WorkerCrashFault
 from repro.lifecycle.retrain import RetryPolicy
-from repro.obs import SHARD_SWAPS, MetricsRegistry
+from repro.obs import (
+    SHARD_SWAPS,
+    MetricsRegistry,
+    get_collector,
+    get_registry,
+    install_collector,
+    uninstall_capture,
+    uninstall_collector,
+)
+from repro.obs import events as obs_events
+from repro.obs import metrics as obs_metrics
 from repro.shard import (
     ArenaError,
     ModelArena,
@@ -343,9 +353,23 @@ class TestCodecValidation:
 
 class ThreadWorker:
     """``_worker_main`` on a thread, fed through a pipe and a ring
-    exactly as a forked shm worker is (one fresh slot per request)."""
+    exactly as a forked shm worker is (one fresh slot per request).
+
+    ``_worker_main`` installs a worker's telemetry capture, which resets
+    the process-wide registry and event log and installs a span
+    collector.  A forked worker does that to its own copies; this one
+    shares the test process's, so it gets fresh ones while it runs and
+    :meth:`close` puts the test process's back.
+    """
 
     def __init__(self, estimator) -> None:
+        self.saved = (
+            obs_metrics._default_registry,
+            obs_events._default_log,
+            get_collector(),
+        )
+        obs_metrics._default_registry = MetricsRegistry()
+        obs_events._default_log = obs_events.EventLog()
         self.ring = ShmRing(4, 1 << 16)
         self.conn, child = multiprocessing.Pipe()
         self.thread = threading.Thread(
@@ -364,6 +388,14 @@ class ThreadWorker:
         assert self.conn.recv()[0] == "stopped"
         self.thread.join(timeout=5.0)
         self.ring.close(unlink=True)
+        registry, log, collector = self.saved
+        obs_metrics._default_registry = registry
+        obs_events._default_log = log
+        uninstall_capture()
+        if collector is None:
+            uninstall_collector()
+        else:
+            install_collector(collector)
 
 
 class TestColumnarWorker:
@@ -388,6 +420,20 @@ class TestColumnarWorker:
             assert reply[:2] == ("result_slot", 8)
         finally:
             worker.close()
+
+    def test_thread_worker_leaves_parent_telemetry_alone(self, tiny_table):
+        counter = get_registry().counter("test_parent_reads_total")
+        counter.inc(3.0)
+        before = get_collector()
+        worker = ThreadWorker(TensorEstimator(3.0).fit(tiny_table))
+        try:
+            buf, used = two_query_frame()
+            assert worker.serve(bytes(buf[:used]))[0] == "result_slot"
+        finally:
+            worker.close()
+        assert get_registry().counter("test_parent_reads_total") is counter
+        assert counter.value() == 3.0
+        assert get_collector() is before
 
     def test_shm_served_mscn_batch_stays_columnar(
         self, mscn, synthetic_workloads, monkeypatch
